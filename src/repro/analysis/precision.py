@@ -15,9 +15,9 @@ Three methods, one per mechanism family the paper measures:
   precision baseline.
 * ``crc`` — the Section 8 software rate control: the wire stays full
   and gaps are realised by inserting bad-FCS filler frames the
-  receiver drops in hardware.  The CBR schedule is planned with the
-  same carry arithmetic as :meth:`~repro.core.ratecontrol.GapFiller.plan`
-  but in pure Python, so the audit runs without numpy.
+  receiver drops in hardware.  The CBR schedule is planned by the
+  same carry kernel as :meth:`~repro.core.ratecontrol.GapFiller.plan`,
+  without numpy, so the audit runs on a numpy-free install.
 * ``software-burst`` — naive software pacing: bursts leave
   back-to-back, then the sender sleeps until the next burst is due
   (the pktgen/zsend shape: micro-bursts plus long gaps).
@@ -31,10 +31,11 @@ backend, and with the batch tier on or off.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro import units
-from repro.core.ratecontrol import GapFiller
+from repro.core.ratecontrol import GapFiller, idle_byte_counts
 from repro.errors import ConfigurationError
 from repro.metrics.registry import Log2Histogram, MetricsRegistry
 from repro.metrics.snapshot import canonical_json
@@ -53,27 +54,20 @@ PERCENTILES = (1.0, 50.0, 99.0)
 def cbr_filler_schedule(filler: GapFiller, gap_ns: float) -> Iterator[List[int]]:
     """Endless per-packet filler schedules for a constant-bit-rate gap.
 
-    Pure-Python mirror of :meth:`GapFiller.plan` for the constant-gap
-    case: the same skip-and-stretch carry arithmetic, the same
-    :meth:`GapFiller._split_filler` decomposition — just without
-    materializing a numpy array, so the audit runs on a numpy-free
-    install.
+    The constant-gap case of :meth:`GapFiller.plan`: the same carry
+    kernel (:func:`~repro.core.ratecontrol.idle_byte_counts`) and the
+    same :meth:`GapFiller._split_filler` decomposition, fed an endless
+    gap stream instead of a numpy array, so the audit runs on a
+    numpy-free install.
     """
-    byte_ns = filler.byte_time_ns
-    min_gap_ns = filler.pkt_wire_bytes * byte_ns
+    min_gap_ns = filler.pkt_wire_bytes * filler.byte_time_ns
     if gap_ns < min_gap_ns - 1e-9:
         raise ConfigurationError(
             f"desired gap {gap_ns:.1f} ns is below the frame's wire time "
             f"({min_gap_ns:.1f} ns); the requested rate exceeds line rate")
-    min_fill = filler.min_filler_wire
-    carry = 0.0
-    while True:
-        idle_bytes_f = (gap_ns - min_gap_ns) / byte_ns + carry
-        if idle_bytes_f < min_fill:
-            idle_bytes = 0 if idle_bytes_f < min_fill / 2 else min_fill
-        else:
-            idle_bytes = int(round(idle_bytes_f))
-        carry = idle_bytes_f - idle_bytes
+    for idle_bytes in idle_byte_counts(itertools.repeat(gap_ns), min_gap_ns,
+                                       filler.byte_time_ns,
+                                       filler.min_filler_wire):
         yield filler._split_filler(idle_bytes)
 
 

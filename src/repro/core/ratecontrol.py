@@ -22,10 +22,10 @@ Constraints modelled exactly as measured in the paper:
 
 from __future__ import annotations
 
-import math
-import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 try:
     import numpy as np
@@ -181,24 +181,82 @@ class CustomGapPattern(TrafficPattern):
 # ---------------------------------------------------------------------------
 
 
+def idle_byte_counts(
+    gaps_ns: Iterable[float],
+    min_gap_ns: float,
+    byte_time_ns: float,
+    min_fill: int,
+) -> Iterator[int]:
+    """Idle wire bytes after each packet for a sequence of desired gaps.
+
+    The one carry kernel behind :meth:`GapFiller.plan` and the pure-Python
+    CBR schedule of :mod:`repro.analysis.precision`.  A running byte-error
+    carry keeps the *average* rate exact: idle gaps too short for a
+    ``min_fill``-byte filler are sent back-to-back or stretched to one
+    minimum filler, whichever is closer (skip-and-stretch, Section 8.4).
+    Works on plain floats, so a numpy gap array should arrive as
+    ``ndarray.tolist()``; ``(gap - min_gap_ns) / byte_time_ns`` is
+    computed once per run of equal gaps.
+    """
+    half_fill = min_fill / 2
+    carry = 0.0
+    gap_before = base = None
+    for gap in gaps_ns:
+        if gap != gap_before:
+            gap_before = gap
+            base = (gap - min_gap_ns) / byte_time_ns
+        idle_f = base + carry
+        if idle_f < min_fill:
+            # Unrepresentable small gap: send back-to-back if closer to
+            # zero, else emit a minimum filler; carry the error.
+            idle = 0 if idle_f < half_fill else min_fill
+        else:
+            idle = round(idle_f)
+        carry = idle_f - idle
+        yield idle
+
+
+class _FillerMemo(dict):
+    """Filler wire lengths by idle-byte count, split on first use."""
+
+    def __init__(self, split: Callable[[int], List[int]]) -> None:
+        super().__init__()
+        self._split = split
+
+    def __missing__(self, idle_bytes: int) -> List[int]:
+        fillers = self[idle_bytes] = self._split(idle_bytes)
+        return fillers
+
+
 @dataclass
 class FillPlan:
     """The wire schedule the gap filler computed for a batch of packets.
 
-    ``filler_wire_bytes[i]`` lists the wire lengths of the invalid frames
-    inserted *after* valid packet ``i``; ``actual_gaps_ns[i]`` is the
-    realised start-to-start gap between valid packets ``i`` and ``i+1``.
+    ``idle_bytes[i]`` is the idle wire time, in bytes, filled *after*
+    valid packet ``i``; ``fillers_of[idle_bytes[i]]`` lists the wire
+    lengths of the invalid frames that fill it, and
+    ``filler_wire_bytes[i]`` is the same list per packet.
+    ``actual_gaps_ns[i]`` is the realised start-to-start gap between
+    valid packets ``i`` and ``i+1``.
     """
 
     frame_size: int
     speed_bps: int
-    filler_wire_bytes: List[List[int]]
+    idle_bytes: List[int]
     actual_gaps_ns: np.ndarray
     desired_gaps_ns: np.ndarray
+    fillers_of: Dict[int, List[int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def filler_wire_bytes(self) -> List[List[int]]:
+        fillers_of = self.fillers_of
+        return [list(fillers_of[idle]) for idle in self.idle_bytes]
 
     @property
     def n_fillers(self) -> int:
-        return sum(len(f) for f in self.filler_wire_bytes)
+        fillers_of = self.fillers_of
+        return sum(len(fillers_of[idle]) * count
+                   for idle, count in Counter(self.idle_bytes).items())
 
     def departure_times_ns(self, start_ns: float = 0.0) -> np.ndarray:
         """Start times of the valid packets on the wire."""
@@ -226,9 +284,9 @@ class FillPlan:
         """
         cells = []
         filler_index = 0
-        for i in range(min(n_packets, len(self.filler_wire_bytes))):
+        for i, idle in enumerate(self.idle_bytes[:n_packets]):
             cells.append(f"p{i}")
-            for wire_len in self.filler_wire_bytes[i]:
+            for wire_len in self.fillers_of[idle]:
                 cells.append(f"i{filler_index}:{wire_len}B")
                 filler_index += 1
         return "| " + " | ".join(cells) + " |"
@@ -303,7 +361,9 @@ class GapFiller:
         raise :class:`GapError` unless within rounding distance.
         """
         _require_numpy()
-        desired = np.asarray(list(desired_gaps_ns), dtype=float)
+        if not isinstance(desired_gaps_ns, np.ndarray):
+            desired_gaps_ns = list(desired_gaps_ns)
+        desired = np.asarray(desired_gaps_ns, dtype=float)
         if desired.size == 0:
             raise GapError("no gaps to plan")
         if np.any(desired < 0):
@@ -320,27 +380,15 @@ class GapFiller:
                 f"the frame's wire time ({min_gap_ns:.1f} ns); the requested "
                 f"rate exceeds line rate"
             )
-        fillers: List[List[int]] = []
-        actual = np.empty(desired.size)
-        carry = 0.0
-        min_fill = self.min_filler_wire
-        for i, gap_ns in enumerate(desired):
-            idle_bytes_f = (gap_ns - min_gap_ns) / self.byte_time_ns + carry
-            if idle_bytes_f < min_fill:
-                # Unrepresentable small gap: send back-to-back if closer to
-                # zero, else emit a minimum filler; carry the error.
-                idle_bytes = 0 if idle_bytes_f < min_fill / 2 else min_fill
-            else:
-                idle_bytes = int(round(idle_bytes_f))
-            carry = idle_bytes_f - idle_bytes
-            fillers.append(self._split_filler(idle_bytes))
-            actual[i] = (pkt_wire + idle_bytes) * self.byte_time_ns
+        idle = list(idle_byte_counts(desired.tolist(), min_gap_ns,
+                                     self.byte_time_ns, self.min_filler_wire))
         return FillPlan(
             frame_size=self.frame_size,
             speed_bps=self.speed_bps,
-            filler_wire_bytes=fillers,
-            actual_gaps_ns=actual,
+            idle_bytes=idle,
+            actual_gaps_ns=(pkt_wire + np.array(idle)) * self.byte_time_ns,
             desired_gaps_ns=desired,
+            fillers_of=_FillerMemo(self._split_filler),
         )
 
     def plan_pattern(self, pattern: TrafficPattern, n: int) -> FillPlan:
@@ -372,6 +420,7 @@ class GapFiller:
         )
         gaps = pattern.gaps_ns(n_packets)
         plan = self.plan(gaps)
+        fillers_of, idle_bytes = plan.fillers_of, plan.idle_bytes
         sent = 0
         bufs = pool.buf_array(1)  # re-planned per frame for exact sizes
         while sent < n_packets and env.running():
@@ -382,7 +431,7 @@ class GapFiller:
             if counter is not None:
                 counter.update_with_size(1, self.frame_size)
             # ...then its fillers.
-            for wire_len in plan.filler_wire_bytes[sent]:
+            for wire_len in fillers_of[idle_bytes[sent]]:
                 filler_size = wire_len - units.WIRE_OVERHEAD  # incl. FCS
                 bufs.alloc(filler_size - units.FCS_SIZE)
                 bufs[0].corrupt_fcs = True

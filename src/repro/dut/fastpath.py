@@ -1,4 +1,4 @@
-"""Vectorizable forwarder simulation over arrival-time arrays.
+"""Forwarder simulation in one scalar pass over an arrival-time array.
 
 The benches for Figures 7, 10 and 11 need millions of packets; driving the
 event loop for each would dominate runtime.  This module simulates the same
@@ -20,6 +20,7 @@ Semantics (matching :class:`repro.dut.forwarder.OvsForwarder`):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -82,7 +83,7 @@ def simulate_forwarder(
     pipeline_ns: float = DEFAULT_PIPELINE_NS,
 ) -> FastForwarderResult:
     """Run the forwarder over sorted packet arrival times (ns)."""
-    require_numpy("the vectorized DuT fastpath")
+    require_numpy("the DuT fastpath")
     arrivals = np.asarray(arrivals_ns, dtype=float)
     if arrivals.size == 0:
         raise ValueError("no arrivals")
@@ -90,41 +91,66 @@ def simulate_forwarder(
         raise ValueError("arrival times must be sorted")
     moderator = InterruptModerator(itr or ItrConfig())
     overhead = moderator.config.interrupt_overhead_ns
+    clump_window = moderator.config.clump_window_ns
 
-    n = arrivals.size
-    departures = np.full(n, np.nan)
+    nan = float("nan")
+    departures = []      # NaN for dropped packets
+    in_ring = deque()    # departure times of accepted packets still queued
     cpu_free = float("-inf")
     dropped = 0
-    accepted = 0
-    dep_ptr = 0          # departures are non-decreasing for accepted packets
-    done_times = []      # departure times of accepted packets, in order
+    # The moderator's per-arrival and per-packet counters, kept in locals
+    # and written back before each interrupt and at the end.
+    last_arrival = moderator._last_arrival_ns
+    clump_len = moderator._clump_len
+    max_clump = moderator._max_clump
+    period_packets = moderator._period_packets
+    period_bytes = moderator._period_bytes
 
-    for i in range(n):
-        a = arrivals[i]
-        moderator.observe_arrival(a)
-        # Advance the departed pointer to compute ring occupancy.
-        while dep_ptr < len(done_times) and done_times[dep_ptr] <= a:
-            dep_ptr += 1
-        if accepted - dep_ptr >= ring_size:
+    for a in arrivals.tolist():
+        # InterruptModerator.observe_arrival
+        if a - last_arrival <= clump_window:
+            clump_len += 1
+        else:
+            clump_len = 1
+        if clump_len > max_clump:
+            max_clump = clump_len
+        last_arrival = a
+        # Departures are non-decreasing: drain what has left the ring.
+        while in_ring and in_ring[0] <= a:
+            in_ring.popleft()
+        if len(in_ring) >= ring_size:
             dropped += 1
+            departures.append(nan)
             continue
         if cpu_free <= a:
             # CPU idle, interrupts armed: fire (moderated) and wake.
+            moderator._max_clump = max_clump
+            moderator._period_packets = period_packets
+            moderator._period_bytes = period_bytes
             wake = max(a, moderator.next_allowed_ns())
             moderator.fire(wake)
+            max_clump = moderator._max_clump
+            period_packets = moderator._period_packets
+            period_bytes = moderator._period_bytes
             start = wake + overhead
         else:
             # NAPI poll mode: the packet is handled when the CPU gets to it.
             start = cpu_free
-        dep = start + service_ns
-        cpu_free = dep
-        moderator.account(1, pkt_size)
+        cpu_free = start + service_ns
+        # InterruptModerator.account
+        period_packets += 1
+        period_bytes += pkt_size
         # The frame leaves the DuT after the (load-independent) tx pipeline.
-        departures[i] = dep + pipeline_ns
-        done_times.append(dep)
-        accepted += 1
+        departures.append(cpu_free + pipeline_ns)
+        in_ring.append(cpu_free)
 
-    duration = float(arrivals[-1] - arrivals[0]) if n > 1 else 0.0
+    moderator._last_arrival_ns = last_arrival
+    moderator._clump_len = clump_len
+    moderator._max_clump = max_clump
+    moderator._period_packets = period_packets
+    moderator._period_bytes = period_bytes
+    departures = np.array(departures)
+    duration = float(arrivals[-1] - arrivals[0]) if arrivals.size > 1 else 0.0
     return FastForwarderResult(
         arrivals_ns=arrivals,
         departures_ns=departures,

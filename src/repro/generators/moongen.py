@@ -136,5 +136,7 @@ class MoonGenCrcGapModel(DepartureModel):
     def departures_for_pattern(self, pattern: TrafficPattern, n: int,
                                start_ns: float = 0.0) -> np.ndarray:
         """Departure times for an explicit pattern (Poisson, bursts, ...)."""
+        if n == 1:
+            return np.array([start_ns])
         plan = self._filler().plan(pattern.gaps_ns(n - 1))
         return plan.departure_times_ns(start_ns)

@@ -179,6 +179,15 @@ class TestCrcGapModel:
         # Exponential shape survives the filler quantization.
         assert gaps.std() == pytest.approx(gaps.mean(), rel=0.1)
 
+    def test_pattern_single_packet(self):
+        """One packet has no gap to plan: it leaves at ``start_ns``, as
+        ``departures_ns(pps, 1)`` does."""
+        model = MoonGenCrcGapModel()
+        dep = model.departures_for_pattern(PoissonPattern(1e6, seed=4), 1,
+                                           start_ns=5.0)
+        assert dep.tolist() == [5.0]
+        assert dep.tolist() == model.departures_ns(1e6, 1, start_ns=5.0).tolist()
+
     def test_skip_and_stretch_precision(self):
         """±30 ns worst case for unrepresentable gaps (Section 8.4)."""
         model = MoonGenCrcGapModel()
