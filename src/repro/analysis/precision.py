@@ -24,15 +24,15 @@ Three methods, one per mechanism family the paper measures:
 
 Every method's result carries the raw ``Log2Histogram`` state,
 interpolated percentiles, and a fingerprint over the canonical JSON of
-the histogram — bit-identical for any ``jobs`` value, either scheduler
-backend, and with the batch tier on or off.
+the histogram — bit-identical for any ``jobs`` value and with the
+batch tier on or off.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
 
 from repro import units
 from repro.core.ratecontrol import GapFiller, idle_byte_counts
@@ -82,7 +82,6 @@ def run_method(
     duration_ns: float = 4e6,
     seed: int = 1,
     batch: bool = False,
-    scheduler: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run one rate-control method and audit its inter-arrival precision.
 
@@ -99,8 +98,7 @@ def run_method(
 
     pps = rate_mpps * 1e6
     gap_ns = units.NS_PER_S / pps
-    env = MoonGenEnv(seed=seed, metrics=True, dataplane=True, batch=batch,
-                     scheduler=scheduler)
+    env = MoonGenEnv(seed=seed, metrics=True, dataplane=True, batch=batch)
     tx = env.config_device(0, tx_queues=1)
     rx = env.config_device(1, rx_queues=1)
     env.connect(tx, rx)
@@ -190,7 +188,6 @@ def _audit_point(point: Dict[str, Any], seed: int) -> Dict[str, Any]:
         duration_ns=point["duration_ns"],
         seed=point["seed"],
         batch=point["batch"],
-        scheduler=point["scheduler"],
     )
 
 
@@ -202,7 +199,6 @@ def run_precision_audit(
     methods: Sequence[str] = METHODS,
     jobs: int = 1,
     batch: bool = False,
-    scheduler: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Audit every method at one rate; results in ``methods`` order.
 
@@ -212,8 +208,7 @@ def run_precision_audit(
     """
     points = [
         {"method": m, "rate_mpps": rate_mpps, "frame_size": frame_size,
-         "duration_ns": duration_ns, "seed": seed, "batch": batch,
-         "scheduler": scheduler}
+         "duration_ns": duration_ns, "seed": seed, "batch": batch}
         for m in methods
     ]
     if jobs and jobs > 1:

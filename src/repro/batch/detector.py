@@ -280,10 +280,11 @@ def _chain_bound(loop, port, sink_port, plain_bound: int) -> Optional[int]:
     The plain bound is the very next live event — but on a multi-pipeline
     topology that event is usually another port's per-frame ``_mac_done``,
     strangling every train to a frame or two even though the two chains
-    never touch.  This scans the scheduler's pending entries once for the earliest event that is
-    *not* a skippable foreign-chain event (``_mac_done``/``_mac_kick`` of
-    an independent port, ``_deliver_due`` of an independent wire) and
-    bounds there instead, folded with the active run horizon.
+    never touch.  This scans the loop's pending entries once for the
+    earliest event that is *not* a skippable foreign-chain event
+    (``_mac_done``/``_mac_kick`` of an independent port, ``_deliver_due``
+    of an independent wire) and bounds there instead, folded with the
+    active run horizon.
 
     Skipped events are skipped from *bounding only* — they still execute
     at their real instants, in time order, after the kernel returns; the
@@ -301,12 +302,11 @@ def _chain_bound(loop, port, sink_port, plain_bound: int) -> Optional[int]:
     """
     if loop._lane_live:
         return plain_bound
-    scheduler = loop.scheduler
-    if scheduler.entry_count() > _SCAN_MAX:
+    if loop.entry_count() > _SCAN_MAX:
         return plain_bound
     best: Optional[int] = None
     verdicts = {}
-    for time_ps, event in scheduler.iter_entries():
+    for time_ps, event in loop.iter_entries():
         if event.cancelled:
             continue
         if best is not None and time_ps >= best:

@@ -10,7 +10,6 @@ reproduction ships the canonical measurement scripts as subcommands::
     moongen-repro rfc2544 --frame-size 64 --frame-size 128 --jobs 2
     moongen-repro timestamps
     moongen-repro trace --scenario load-latency --out run.jsonl
-    moongen-repro bench --smoke --jobs 2
     moongen-repro sweep fig2-cores --jobs 4 --live
     moongen-repro faults --plan burst-loss --plan flap --jobs 2
     moongen-repro metrics quickstart --out metrics.jsonl
@@ -114,12 +113,12 @@ def _write_metrics(snapshotter, out: str, command: str, seed: int,
 
 
 def _build_quickstart(seed: int, faults=None, metrics=False, batch=False,
-                      scheduler=None, dataplane=False):
+                      dataplane=False):
     """The quickstart topology: one CBR slave saturating a 10 GbE link."""
     from repro import MoonGenEnv
 
     env = MoonGenEnv(seed=seed, faults=faults, metrics=metrics, batch=batch,
-                     scheduler=scheduler, dataplane=dataplane)
+                     dataplane=dataplane)
     tx = env.config_device(0, tx_queues=1)
     rx = env.config_device(1, rx_queues=1)
     env.connect(tx, rx)
@@ -139,14 +138,13 @@ def _build_quickstart(seed: int, faults=None, metrics=False, batch=False,
 
 def _build_dut_forward(seed: int, faults=None, metrics=False,
                        rate_pps: float = 1.5e6, frame_size: int = 64,
-                       scheduler=None, dataplane=False):
+                       dataplane=False):
     """CBR traffic through the simulated OvS DuT (load-latency shape)."""
     from repro import MoonGenEnv
     from repro.dut import OvsForwarder
 
     env = MoonGenEnv(seed=seed, cost_noise=False, faults=faults,
-                     metrics=metrics, scheduler=scheduler,
-                     dataplane=dataplane)
+                     metrics=metrics, dataplane=dataplane)
     tx = env.config_device(0, tx_queues=2)
     rx = env.config_device(1, rx_queues=1)
     dut = OvsForwarder(env.loop)
@@ -185,7 +183,6 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
                                     faults=_resolve_faults(args),
                                     metrics=bool(args.metrics),
                                     batch=args.batch,
-                                    scheduler=args.scheduler,
                                     dataplane=bool(args.metrics))
     _warn_unmatched_faults(env)
     snapshotter = None
@@ -208,8 +205,7 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 def _build_load_latency(seed: int, rate_mpps: float, mode: str,
                         pattern_name: str, probes: int, faults=None,
-                        metrics=False, batch=False, scheduler=None,
-                        dataplane=False):
+                        metrics=False, batch=False, dataplane=False):
     """The load-latency experiment, built but not yet run.
 
     Shared by :func:`_cmd_load_latency` and the ``--jobs`` worker
@@ -221,7 +217,7 @@ def _build_load_latency(seed: int, rate_mpps: float, mode: str,
     from repro.dut import OvsForwarder
 
     env = MoonGenEnv(seed=seed, faults=faults, metrics=metrics, batch=batch,
-                     scheduler=scheduler, dataplane=dataplane)
+                     dataplane=dataplane)
     tx = env.config_device(0, tx_queues=2)
     rx = env.config_device(1, rx_queues=1)
     dut = OvsForwarder(env.loop)
@@ -251,8 +247,7 @@ def _load_latency_point(point, seed: int):
         seed=point["seed"], rate_mpps=point["rate"], mode=point["mode"],
         pattern_name=point["pattern"], probes=point["probes"],
         faults=_resolve_faults_value(point["faults"], point["seed"]),
-        metrics=True, dataplane=True, batch=point["batch"],
-        scheduler=point["scheduler"])
+        metrics=True, dataplane=True, batch=point["batch"])
     experiment.run(pps, duration_ns=point["duration_ms"] * 1e6,
                    dut_crc_counter=lambda: dut.rx_crc_errors)
     return env.dataplane.fingerprint()
@@ -263,8 +258,7 @@ def _cmd_load_latency(args: argparse.Namespace) -> int:
         seed=args.seed, rate_mpps=args.rate, mode=args.mode,
         pattern_name=args.pattern, probes=args.probes,
         faults=_resolve_faults(args), metrics=bool(args.metrics),
-        batch=args.batch, scheduler=args.scheduler,
-        dataplane=bool(args.metrics))
+        batch=args.batch, dataplane=bool(args.metrics))
     _warn_unmatched_faults(env)
     snapshotter = None
     if args.metrics:
@@ -295,8 +289,7 @@ def _cmd_load_latency(args: argparse.Namespace) -> int:
             point = {"seed": args.seed, "rate": args.rate,
                      "mode": args.mode, "pattern": args.pattern,
                      "probes": args.probes, "faults": args.faults,
-                     "duration_ms": args.duration_ms, "batch": args.batch,
-                     "scheduler": args.scheduler}
+                     "duration_ms": args.duration_ms, "batch": args.batch}
             replicas = run_parallel(
                 [dict(point, replica=i) for i in range(args.jobs)],
                 _load_latency_point, jobs=args.jobs)
@@ -328,7 +321,7 @@ def _cmd_precision(args: argparse.Namespace) -> int:
         rate_mpps=args.rate, frame_size=args.frame_size,
         duration_ns=args.duration_ms * 1e6, seed=args.seed,
         methods=tuple(args.methods) if args.methods else METHODS,
-        jobs=args.jobs or 1, batch=args.batch, scheduler=args.scheduler)
+        jobs=args.jobs or 1, batch=args.batch)
     print(f"rate-control precision audit @ {args.rate:.2f} Mpps "
           f"({args.frame_size} B frames, {args.duration_ms:g} ms simulated)")
     print(format_audit_table(results))
@@ -415,11 +408,10 @@ def _sweep_resilience(args):
 
     report = DegradationReport()
     journal = None
-    quarantine = bool(getattr(args, "quarantine", False))
-    if getattr(args, "resume", False) and not getattr(args, "journal", None):
+    if args.resume and not args.journal:
         print("--resume requires --journal", file=sys.stderr)
         return None
-    if getattr(args, "journal", None):
+    if args.journal:
         if os.path.exists(args.journal) and not args.resume:
             print(f"journal {args.journal} already exists; pass --resume to "
                   "continue it (or remove the file to start over)",
@@ -427,8 +419,8 @@ def _sweep_resilience(args):
             return None
         journal = SweepJournal(args.journal)
     policy = None
-    if journal is not None or quarantine:
-        policy = SupervisePolicy(quarantine=quarantine)
+    if journal is not None or args.quarantine:
+        policy = SupervisePolicy(quarantine=args.quarantine)
     return journal, policy, report
 
 
@@ -631,64 +623,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro import perf
-
-    jobs = args.jobs or 1
-    resilience = _sweep_resilience(args)
-    if resilience is None:
-        return 2
-    journal, policy, report = resilience
-    try:
-        start = time.perf_counter()
-        results = perf.run_suite(args.scenarios, smoke=args.smoke,
-                                 repeats=args.repeats, jobs=jobs,
-                                 batch=args.batch, scheduler=args.scheduler,
-                                 journal=journal, supervise=policy,
-                                 report=report)
-        sweep_wall_s = time.perf_counter() - start
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    doc = perf.write_bench(args.out, results, rebaseline=args.rebaseline,
-                           smoke=args.smoke, jobs=jobs,
-                           sweep_wall_s=sweep_wall_s, batch=args.batch,
-                           scheduler=args.scheduler)
-    print(perf.format_report(doc))
-    if args.batch and args.verbose:
-        for name in sorted(results):
-            stats = results[name].get("batch_stats")
-            if not isinstance(stats, dict):
-                continue
-            print(f"\n{name}: batch tier — {stats['frames']} frames in "
-                  f"{stats['trains']} trains, "
-                  f"~{stats['events_saved']} events saved")
-            fallbacks = stats.get("fallbacks") or {}
-            if fallbacks:
-                print(f"  {'fallback reason':<24} {'kicks':>8}")
-                for reason, count in sorted(fallbacks.items(),
-                                            key=lambda kv: -kv[1]):
-                    print(f"  {reason:<24} {count:>8}")
-            else:
-                print("  no event-path fallbacks")
-    print(f"\nsuite wall time {sweep_wall_s:.2f} s with jobs={jobs}")
-    print(f"wrote {args.out} (+ manifest)")
-    if args.metrics:
-        # One extra *instrumented* run of the bench topology: the perf
-        # scenarios themselves stay uninstrumented (their numbers feed
-        # baselines), this sidecar series shows what the workload did.
-        env, _, _, _ = _build_dut_forward(args.seed, metrics=True)
-        snapshotter = env.start_snapshotter(interval_ns=200_000.0)
-        env.wait_for_slaves(duration_ns=4e6)
-        _write_metrics(snapshotter, args.metrics, "moongen-repro bench",
-                       args.seed)
-    for warning in perf.check_regression(doc, threshold=args.warn_threshold):
-        print(f"::warning::{warning}", file=sys.stderr)
-    return _report_outcome(report)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.parallel.sweeps import SWEEPS, format_sweep_table
 
@@ -727,11 +661,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _report_outcome(report)
 
 
-def _add_resilience_args(p: argparse.ArgumentParser,
-                         quarantine: bool = False) -> None:
-    """``--journal``/``--resume`` (and optionally ``--quarantine``) flags.
+def _add_resilience_args(p: argparse.ArgumentParser) -> None:
+    """``--journal``/``--resume``/``--quarantine`` flags.
 
-    Shared by the sweep-shaped subcommands (bench/sweep/faults); see
+    Shared by the sweep-shaped subcommands (sweep/faults); see
     docs/RESILIENCE.md for the journal format and resume semantics.
     """
     p.add_argument("--journal", metavar="PATH",
@@ -744,12 +677,11 @@ def _add_resilience_args(p: argparse.ArgumentParser,
                    help="continue an existing --journal (without this flag "
                         "an existing journal file is refused, never "
                         "overwritten)")
-    if quarantine:
-        p.add_argument("--quarantine", action="store_true",
-                       help="when a point exhausts its attempt budget, "
-                            "record it as poisoned and finish the sweep "
-                            "with partial results and a degradation "
-                            "report (exit code 3) instead of aborting")
+    p.add_argument("--quarantine", action="store_true",
+                   help="when a point exhausts its attempt budget, "
+                        "record it as poisoned and finish the sweep "
+                        "with partial results and a degradation "
+                        "report (exit code 3) instead of aborting")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -761,18 +693,12 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scheduler_help = ("event-loop scheduler backend: binary heap (default) "
-                      "or the O(1) calendar queue; results are bit-identical "
-                      "(default: $REPRO_SCHEDULER, else heap)")
-
     p = sub.add_parser("quickstart", help="saturate a simulated 10 GbE link")
     p.add_argument("--duration-ms", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--batch", action="store_true",
                    help="execute homogeneous event trains through the "
                         "vectorized batch tier (bit-identical output)")
-    p.add_argument("--scheduler", choices=("heap", "calendar"), default=None,
-                   help=scheduler_help)
     p.add_argument("--faults", metavar="PLAN",
                    help="fault plan: builtin name (see 'faults --list') or a plan.json path")
     p.add_argument("--metrics", metavar="OUT.JSONL",
@@ -791,8 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true",
                    help="execute homogeneous event trains through the "
                         "vectorized batch tier (bit-identical output)")
-    p.add_argument("--scheduler", choices=("heap", "calendar"), default=None,
-                   help=scheduler_help)
     p.add_argument("--faults", metavar="PLAN",
                    help="fault plan: builtin name (see 'faults --list') or a plan.json path")
     p.add_argument("--metrics", metavar="OUT.JSONL",
@@ -821,8 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "naive bursty software pacing, histogramming rx "
                     "inter-arrival gaps at the receiving NIC "
                     "(repro.analysis.precision).  Per-method fingerprints "
-                    "are bit-identical for any --jobs value, either "
-                    "scheduler backend, and with or without --batch.",
+                    "are bit-identical for any --jobs value and with or "
+                    "without --batch.",
     )
     p.add_argument("--rate", type=float, default=1.0, help="Mpps")
     p.add_argument("--frame-size", type=int, default=64, metavar="BYTES")
@@ -839,8 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", action="store_true",
                    help="execute homogeneous event trains through the "
                         "vectorized batch tier (bit-identical output)")
-    p.add_argument("--scheduler", choices=("heap", "calendar"), default=None,
-                   help=scheduler_help)
     p.add_argument("--csv", metavar="OUT.CSV",
                    help="write the per-method bucket histograms as CSV "
                         "(+ manifest with per-method fingerprints)")
@@ -896,55 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
-        "bench",
-        help="run the pinned perf suite, update BENCH_core.json",
-        description="Runs the continuous perf-regression harness "
-                    "(repro.perf): pinned hot-path scenarios measured "
-                    "best-of-N, recorded in BENCH_core.json with speedup "
-                    "ratios against the per-mode baseline.  Regressions "
-                    "print ::warning:: lines but never fail the run "
-                    "(docs/PERFORMANCE.md).",
-    )
-    p.add_argument("--smoke", action="store_true",
-                   help="short runs (CI-sized workloads)")
-    p.add_argument("--batch", action="store_true",
-                   help="run scenarios under the vectorized batch tier; "
-                        "results land in the '-batch' modes and "
-                        "delta_vs_event records the speedup over the "
-                        "event-by-event baseline")
-    p.add_argument("--scheduler", choices=("heap", "calendar"),
-                   default="heap",
-                   help="event-loop scheduler backend; 'calendar' runs "
-                        "land in the '-calendar' modes and delta_vs_heap "
-                        "records the speedup over the heap baseline")
-    p.add_argument("--verbose", action="store_true",
-                   help="with --batch: per-scenario batch-tier table "
-                        "(trains, frames, events saved, and a fallback-"
-                        "reason breakdown)")
-    p.add_argument("--scenario", action="append", dest="scenarios",
-                   help="run only this scenario (repeatable)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="rounds per scenario; fastest wall time wins")
-    p.add_argument("--out", default="BENCH_core.json",
-                   help="trajectory file (default BENCH_core.json)")
-    p.add_argument("--rebaseline", action="store_true",
-                   help="replace the stored baseline for this mode")
-    p.add_argument("--warn-threshold", type=float, default=0.85,
-                   help="warn when events/sec falls below this ratio "
-                        "of baseline (default 0.85)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="shard scenario rounds across this many worker "
-                        "processes (default: 1, serial; fingerprints are "
-                        "identical either way, but wall-clock metrics "
-                        "are noisier when workers share cores)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--metrics", metavar="OUT.JSONL",
-                   help="also run one instrumented bench-shaped simulation "
-                        "and write its metrics time series (+ manifest)")
-    _add_resilience_args(p)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
         "sweep",
         help="run a named parameter sweep through the parallel engine",
         description="Runs one of the registered paper sweeps "
@@ -964,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live", action="store_true",
                    help="one-line live progress on stderr (points done / "
                         "ETA / last fingerprint / supervision counts)")
-    _add_resilience_args(p, quarantine=True)
+    _add_resilience_args(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -993,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live", action="store_true",
                    help="one-line live progress on stderr (plans done / "
                         "ETA / last fingerprint / supervision counts)")
-    _add_resilience_args(p, quarantine=True)
+    _add_resilience_args(p)
     p.set_defaults(func=_cmd_faults)
 
     p = sub.add_parser(
@@ -1029,8 +902,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runs a scenario with a per-event wall-clock latch "
                     "and prints host-time attribution per category "
                     "(nic/wire/dut/process/scheduler/...) plus the top "
-                    "callbacks — the tool for localizing BENCH_core.json "
-                    "regressions (docs/METRICS.md).",
+                    "callbacks, for localizing a slowdown the perf ledger "
+                    "(benchmarks/ledger) reports (docs/METRICS.md).",
     )
     p.add_argument("scenario", choices=("quickstart", "load-latency"),
                    help="topology to profile")

@@ -37,15 +37,9 @@ class MoonGenEnv:
         faults=None,
         metrics=None,
         dataplane=None,
-        scheduler=None,
         watchdog=None,
     ) -> None:
-        #: Pluggable event-loop scheduler backend: ``None`` (consult the
-        #: ``REPRO_SCHEDULER`` environment variable, default ``"heap"``),
-        #: ``"heap"``, ``"calendar"``, or a pre-built scheduler instance.
-        #: Both backends produce bit-identical simulations — only the
-        #: wall-clock cost profile differs (docs/PERFORMANCE.md).
-        self.loop = EventLoop(scheduler=scheduler)
+        self.loop = EventLoop()
         #: Opt-in batch execution tier (``repro.batch``): ports execute
         #: homogeneous event trains — FIFO drains, prefetch steady states,
         #: hardware-paced ring trains — arithmetically whenever no tracer/
@@ -140,25 +134,17 @@ class MoonGenEnv:
                          if _events_total() else 0.0),
                 help="fraction of events taken via the same-instant "
                      "fast lane")
-            # Scheduler-backend self-accounting (bucket geometry, resize
-            # and compaction counts).  Like ``batch.*`` these describe
-            # the scheduler's work, not the simulated world, so they ride
+            # Heap self-accounting.  Like ``batch.*`` these describe the
+            # scheduler's work, not the simulated world, so they ride
             # under the ``loop.`` prefix every fingerprint comparison
-            # already excludes — heap and calendar runs fingerprint
-            # identically even though their gauges differ.
+            # already excludes.
             sched_help = {
                 "entries": "entries stored (incl. lazily-cancelled)",
                 "live": "live (non-cancelled) entries enqueued",
                 "compactions": "lazy-cancel compaction passes",
-                "buckets": "calendar bucket count",
-                "day_width_ps": "calendar day width (ps)",
-                "resizes": "calendar re-bucketing passes",
-                "max_occupancy": "largest bucket seen",
             }
-            for key, fn in loop.scheduler.metrics().items():
-                registry.gauge(
-                    f"loop.sched.{key}", fn,
-                    help=sched_help.get(key, "scheduler internal gauge"))
+            for key, fn in loop.sched_gauges().items():
+                registry.gauge(f"loop.sched.{key}", fn, help=sched_help[key])
             if self.injector is not None:
                 self.injector.register_metrics(registry)
             if self.batch is not None:

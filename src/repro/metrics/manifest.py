@@ -1,7 +1,7 @@
 """Run provenance manifests: enough context to reproduce any result file.
 
-A :class:`RunManifest` is written next to every bench / sweep / faults /
-metrics artifact (``BENCH_core.json`` → ``BENCH_core.manifest.json``).
+A :class:`RunManifest` is written next to every metrics / precision
+result file (``metrics.jsonl`` → ``metrics.manifest.json``).
 It records what produced the numbers — command, seed, jobs, a stable
 hash of the configuration, the fault-plan hash if one was armed, the
 result fingerprint, and the package/python versions — so any number in a
@@ -33,7 +33,7 @@ def stable_hash(obj: Any) -> str:
 
 
 def manifest_path_for(result_path: str) -> str:
-    """``BENCH_core.json`` → ``BENCH_core.manifest.json`` (any extension)."""
+    """``metrics.jsonl`` → ``metrics.manifest.json`` (any extension)."""
     base, _ = os.path.splitext(result_path)
     return base + ".manifest.json"
 

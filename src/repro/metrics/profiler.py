@@ -1,6 +1,7 @@
 """Event-loop self-profiler: where does host wall-time actually go?
 
-BENCH_core.json says *that* events/sec moved; this module says *where*.
+The perf ledger (``benchmarks/ledger``) says *that* a workload slowed
+down; this module says *which callbacks* the time went to.
 :class:`LoopProfiler` drives the event loop event-by-event with a
 ``perf_counter`` latch around every callback and attributes host time to
 a category derived from the callback's qualname (``NicPort.*`` → nic,
@@ -11,8 +12,8 @@ mystery residue.
 
 Profiling necessarily bypasses the inlined ``EventLoop.run`` hot path
 (that is the point: per-event latches), so absolute event rates under
-the profiler are lower than bench numbers; the *distribution* is what it
-reports.  Simulation results are unaffected — events fire in exactly the
+the profiler are lower than unprofiled ones; the *distribution* is what
+it reports.  Simulation results are unaffected — events fire in exactly the
 deterministic order ``run()`` would use, via ``EventLoop._next_event``.
 """
 

@@ -14,29 +14,23 @@ Two execution styles coexist:
 
 Hot-path structure (docs/PERFORMANCE.md):
 
-* **pluggable scheduler** — the time-ordered structure behind
-  ``schedule_at`` lives in a scheduler object: :class:`HeapScheduler`
-  (binary heap, the default) or
-  :class:`repro.nicsim.calqueue.CalendarScheduler` (amortized O(1)
-  calendar queue for many-timer workloads).  Select with
-  ``EventLoop(scheduler=...)``, ``MoonGenEnv(scheduler=...)``, or the
-  ``REPRO_SCHEDULER`` environment variable.  Both backends share the
-  ``(time_ps, seq, Event)`` entry format and one sequence counter, so
-  same-instant ordering — and therefore every simulation result — is
-  bit-for-bit identical across them.
+* **one binary heap** — ``schedule_at`` pushes ``(time_ps, seq, Event)``
+  tuples straight onto the loop's heap list; ``seq`` comes from one
+  counter, so the order is total and the :class:`Event` is never
+  compared.
 * **same-instant fast lane** — events scheduled for the *current* instant
   (``schedule(0, ...)``, the process-resume pattern) go into a plain FIFO
-  deque instead of the scheduler: O(1), no sequence number.  Ordering is
-  preserved exactly: every scheduler entry at the current instant was
+  deque instead of the heap: O(1), no sequence number.  Ordering is
+  preserved exactly: every heap entry at the current instant was
   scheduled before ``now`` reached it and therefore precedes every
   fast-lane entry, which are kept in insertion order by the deque.
 * **lazy-deletion compaction** — ``Event.cancel`` only sets a flag; the
-  scheduler entry stays until popped.  Long runs that cancel many timers
-  (e.g. ``wait_any`` timeouts) would otherwise grow the structure without
-  bound, so each scheduler counts lingering cancelled entries and rebuilds
-  once they exceed half its size.
+  heap entry stays until popped.  Long runs that cancel many timers
+  (e.g. ``wait_any`` timeouts) would otherwise grow the heap without
+  bound, so the heap counts lingering cancelled entries and rebuilds in
+  place once they exceed half its size.
 * **exact O(1) live counts** — every event knows its accounting owner
-  (the scheduler, or the loop for lane events) and whether it is still
+  (the heap, or the loop for lane events) and whether it is still
   enqueued, so cancels decrement the right live counter exactly once and
   cancelling an already-fired handle (the MAC-wakeup and
   ``wait_any``-timeout patterns) is a no-op.  ``pending_events`` is a
@@ -50,16 +44,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import time
 from collections import Counter as _Counter, deque
 from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimAborted, SimulationError
 
-#: Compact the scheduler when cancelled entries exceed this fraction of it.
+#: Compact the heap when cancelled entries exceed this fraction of it.
 _COMPACT_FRACTION = 0.5
-#: ...but never bother compacting structures smaller than this.
+#: ...but never bother compacting heaps smaller than this.
 _COMPACT_MIN = 64
 
 
@@ -73,7 +66,7 @@ class Event:
         self.time_ps = time_ps
         self.callback = callback
         self.cancelled = False
-        # Accounting owner for lazy deletion: the scheduler holding this
+        # Accounting owner for lazy deletion: the loop's heap holding this
         # event, or the loop itself for fast-lane events.  ``_in_sched``
         # is cleared when the event is popped to fire, so cancelling a
         # stale handle afterwards cannot decrement a live counter twice.
@@ -89,111 +82,43 @@ class Event:
             self._owner.note_cancelled()
 
 
-class HeapScheduler:
-    """The default binary-heap scheduler: O(log n) insert/extract.
+class _Heap:
+    """The loop's binary heap and its lazy-deletion accounting.
 
-    Entries are ``(time_ps, seq, Event)`` tuples ordered by the tuple
-    itself; ``seq`` makes the order total, so the :class:`Event` is never
-    compared.  ``EventLoop.run()`` inlines directly against ``_queue``
-    for the hot path — any replacement scheduler instead goes through the
-    generic :meth:`pop_due` loop.
+    Owner (see :class:`Event`) of every event in ``queue``.  Only
+    :class:`EventLoop` touches it; everything else reads the pending set
+    through the loop's methods.
     """
 
-    name = "heap"
-
-    __slots__ = ("_queue", "_seq", "_cancelled_pending", "live", "compactions")
+    __slots__ = ("queue", "live", "cancelled", "compactions")
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[int, int, Event]] = []
-        self._seq = itertools.count()
-        #: Cancelled events still sitting in the heap (lazy deletion).
-        self._cancelled_pending = 0
-        #: Live (non-cancelled) events currently enqueued — maintained
-        #: exactly via the owner accounting on :class:`Event`.
+        self.queue: List[Tuple[int, int, Event]] = []
+        #: Live (non-cancelled) events in ``queue`` — exact, see Event.
         self.live = 0
+        #: Cancelled events still sitting in ``queue`` (lazy deletion).
+        self.cancelled = 0
         self.compactions = 0
-
-    # -- scheduling ------------------------------------------------------------
-
-    def insert(self, time_ps: int, event: Event) -> None:
-        heapq.heappush(self._queue, (time_ps, next(self._seq), event))
-        self.live += 1
-
-    def pop_due(self, bound_ps: Optional[int]) -> Optional[Event]:
-        """Pop the earliest live event iff its time is <= ``bound_ps``.
-
-        ``None`` bound means unbounded.  Returns ``None`` — without
-        popping — when the structure is empty or the earliest live event
-        lies beyond the bound.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            event = entry[2]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_pending -= 1
-                continue
-            if bound_ps is not None and entry[0] > bound_ps:
-                return None
-            heapq.heappop(queue)
-            event._in_sched = False
-            self.live -= 1
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest live entry, or ``None`` when empty."""
-        queue = self._queue
-        while queue:
-            time_ps, _, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_pending -= 1
-                continue
-            return time_ps
-        return None
-
-    # -- lazy deletion ---------------------------------------------------------
 
     def note_cancelled(self) -> None:
         self.live -= 1
-        self._cancelled_pending += 1
-        queue = self._queue
+        self.cancelled += 1
+        queue = self.queue
         if (len(queue) > _COMPACT_MIN
-                and self._cancelled_pending > len(queue) * _COMPACT_FRACTION):
+                and self.cancelled > len(queue) * _COMPACT_FRACTION):
             self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap (O(n)).
 
         Mutates the list in place: ``run()`` keeps the heap in a local,
-        so rebinding ``_queue`` would strand it on a stale list.
+        so rebinding ``queue`` would strand it on a stale list.
         """
-        queue = self._queue
+        queue = self.queue
         queue[:] = [entry for entry in queue if not entry[2].cancelled]
         heapq.heapify(queue)
-        self._cancelled_pending = 0
+        self.cancelled = 0
         self.compactions += 1
-
-    # -- introspection (batch detector, metrics) -------------------------------
-
-    def entry_count(self) -> int:
-        """Entries currently stored, including lazily-cancelled ones."""
-        return len(self._queue)
-
-    def iter_entries(self) -> Iterator[Tuple[int, Event]]:
-        """Yield ``(time_ps, event)`` for every stored entry, heap order."""
-        for time_ps, _seq, event in self._queue:
-            yield time_ps, event
-
-    def metrics(self) -> dict:
-        """Gauge callables published as ``loop.sched.*`` by the env."""
-        return {
-            "entries": self.entry_count,
-            "live": lambda: self.live,
-            "compactions": lambda: self.compactions,
-        }
 
 
 class Watchdog:
@@ -217,8 +142,8 @@ class Watchdog:
 
     On a trip the loop raises :class:`~repro.errors.SimAborted` carrying
     a diagnostics snapshot: the simulated clock, live pending-event
-    counts, the top pending-event owners (via the scheduler seam's
-    ``iter_entries``), and — when ``registry`` is attached
+    counts, the top pending-event owners (via
+    :meth:`EventLoop.iter_entries`), and — when ``registry`` is attached
     (``MoonGenEnv(metrics=..., watchdog=...)`` wires it) — the current
     value of every live metric.
 
@@ -248,45 +173,13 @@ class Watchdog:
         self.registry = registry
 
 
-def resolve_scheduler(spec: Any = None) -> Any:
-    """Turn a scheduler spec into a scheduler instance.
-
-    ``spec`` may be ``None`` (consult the ``REPRO_SCHEDULER`` environment
-    variable, default ``"heap"``), the name ``"heap"`` or ``"calendar"``,
-    or an already-constructed scheduler object (returned as-is).
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_SCHEDULER", "").strip() or "heap"
-    if isinstance(spec, str):
-        name = spec.strip().lower()
-        if name == "heap":
-            return HeapScheduler()
-        if name == "calendar":
-            from repro.nicsim.calqueue import CalendarScheduler
-            return CalendarScheduler()
-        raise ConfigurationError(
-            f"unknown scheduler {spec!r}; expected 'heap' or 'calendar'"
-        )
-    return spec
-
-
 class EventLoop:
     """The simulation scheduler."""
 
-    def __init__(self, scheduler: Any = None) -> None:
-        #: The pluggable time-ordered backend (:func:`resolve_scheduler`).
-        self.scheduler = resolve_scheduler(scheduler)
-        # Heap fast path for schedule_at: push straight onto the heap list
-        # (compaction mutates it in place, so the cached reference stays
-        # valid).  Other backends go through scheduler.insert().
-        if type(self.scheduler) is HeapScheduler:
-            self._heap_queue: Optional[List[Tuple[int, int, Event]]] = (
-                self.scheduler._queue
-            )
-            self._heap_seq = self.scheduler._seq
-        else:
-            self._heap_queue = None
-            self._heap_seq = None
+    def __init__(self) -> None:
+        #: Future events: one binary heap of ``(time_ps, seq, Event)``.
+        self._heap = _Heap()
+        self._seq = itertools.count()
         #: Same-instant FIFO fast lane: events for the current ``now_ps``.
         self._lane: Deque[Event] = deque()
         #: Live (non-cancelled) events in the lane — exact, see Event.
@@ -297,12 +190,12 @@ class EventLoop:
         #: Horizon of the innermost active ``run(until_ps=...)`` call, used
         #: by fast-forward helpers to bound arithmetic time skips.
         self._until_ps: Optional[int] = None
-        #: Total events executed by :meth:`run`/:meth:`step` over the loop's
-        #: lifetime (the perf harness's events/sec numerator).
+        #: Total events executed over the loop's lifetime, by :meth:`run`,
+        #: :meth:`step` or the self-profiler.
         self.events_processed = 0
-        #: Of those, events taken from the same-instant fast lane by
-        #: :meth:`run` — ``lane_events_processed / events_processed`` is
-        #: the fast-lane hit ratio published as ``loop.lane_hit_ratio``.
+        #: Of those, events taken from the same-instant fast lane —
+        #: ``lane_events_processed / events_processed`` is the fast-lane
+        #: hit ratio published as ``loop.lane_hit_ratio``.
         self.lane_events_processed = 0
         #: Live-count cell for metrics (``repro.metrics``): ``None`` (the
         #: default) keeps :meth:`run`'s per-event cost at one local test,
@@ -321,10 +214,9 @@ class EventLoop:
         #: run-detection rules and the fallback accounting.
         self.batch = None
         #: Optional :class:`Watchdog`; ``None`` (default) keeps ``run()``
-        #: on the uninstrumented fast paths.  With one armed, ``run()``
+        #: on the uninstrumented fast path.  With one armed, ``run()``
         #: dispatches to :meth:`_run_watched`, which adds a wall-clock
-        #: deadline and a zero-advance livelock detector around the
-        #: generic scheduler protocol.
+        #: deadline and a zero-advance livelock detector.
         self.watchdog: Optional[Watchdog] = None
 
     @property
@@ -342,9 +234,8 @@ class EventLoop:
         """Run ``callback`` at absolute time ``time_ps``."""
         time_ps = int(time_ps)
         if time_ps == self.now_ps:
-            # Same-instant fast lane: plain FIFO append.  Every scheduler
-            # entry at this instant predates it, so scheduler-first keeps
-            # seq order.
+            # Same-instant fast lane: plain FIFO append.  Every heap entry
+            # at this instant predates it, so heap-first keeps seq order.
             event = Event(time_ps, callback, self)
             self._lane.append(event)
             self._lane_live += 1
@@ -353,14 +244,10 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {time_ps} ps, now is {self.now_ps} ps"
             )
-        scheduler = self.scheduler
-        event = Event(time_ps, callback, scheduler)
-        queue = self._heap_queue
-        if queue is not None:
-            heapq.heappush(queue, (time_ps, next(self._heap_seq), event))
-            scheduler.live += 1
-        else:
-            scheduler.insert(time_ps, event)
+        heap = self._heap
+        event = Event(time_ps, callback, heap)
+        heapq.heappush(heap.queue, (time_ps, next(self._seq), event))
+        heap.live += 1
         return event
 
     # -- lazy deletion ---------------------------------------------------------
@@ -378,7 +265,7 @@ class EventLoop:
         cancelling an already-fired handle (the MAC-wakeup and
         ``wait_any``-timeout patterns) changes nothing.
         """
-        return self.scheduler.live + self._lane_live
+        return self._heap.live + self._lane_live
 
     def next_event_time_ps(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the loop is empty.
@@ -389,7 +276,15 @@ class EventLoop:
         """
         if self._lane_live:
             return self.now_ps
-        return self.scheduler.peek_time()
+        heap = self._heap
+        queue = heap.queue
+        while queue:
+            time_ps, _, event = queue[0]
+            if not event.cancelled:
+                return time_ps
+            heapq.heappop(queue)
+            heap.cancelled -= 1
+        return None
 
     def fast_forward_bound_ps(self, limit_ps: Optional[int] = None) -> Optional[int]:
         """Latest instant a batch/fast-forward may advance state to, exclusive.
@@ -408,26 +303,67 @@ class EventLoop:
             bound = limit_ps if bound is None else min(bound, limit_ps)
         return bound
 
+    # -- introspection (batch detector, watchdog, metrics) ---------------------
+
+    def entry_count(self) -> int:
+        """Heap entries currently stored, including lazily-cancelled ones."""
+        return len(self._heap.queue)
+
+    def iter_entries(self) -> Iterator[Tuple[int, Event]]:
+        """Yield ``(time_ps, event)`` for every stored entry: the heap in
+        heap order, then the lane.  Lazily-cancelled entries are included;
+        callers skip ``event.cancelled``."""
+        for time_ps, _seq, event in self._heap.queue:
+            yield time_ps, event
+        for event in self._lane:
+            yield event.time_ps, event
+
+    def sched_gauges(self) -> dict:
+        """Gauge callables published as ``loop.sched.*`` by the env."""
+        heap = self._heap
+        return {
+            "entries": self.entry_count,
+            "live": lambda: heap.live,
+            "compactions": lambda: heap.compactions,
+        }
+
     # -- execution -------------------------------------------------------------
 
-    def _next_event(self) -> Optional[Event]:
-        """Pop the next live event in deterministic order (or ``None``)."""
+    def _next_event(self, until_ps: Optional[int] = None) -> Optional[Event]:
+        """Pop the next live event in deterministic order.
+
+        Returns ``None`` when the loop is empty or the next event lies
+        beyond ``until_ps``.  Lane pops are counted here, so :meth:`step`,
+        the watched loop and the self-profiler account for them as
+        :meth:`run` does.
+        """
         lane = self._lane
-        scheduler = self.scheduler
+        heap = self._heap
+        queue = heap.queue
         while True:
-            if lane:
-                # Scheduler entries at the current instant predate lane
-                # entries, so they fire first.
-                event = scheduler.pop_due(self.now_ps)
-                if event is not None:
-                    return event
-                event = lane.popleft()
+            if queue:
+                time_ps, _, event = queue[0]
                 if event.cancelled:
+                    heapq.heappop(queue)
+                    heap.cancelled -= 1
                     continue
-                event._in_sched = False
-                self._lane_live -= 1
-                return event
-            return scheduler.pop_due(None)
+                # Heap entries at the current instant predate lane
+                # entries, so they fire first.
+                bound = self.now_ps if lane else until_ps
+                if bound is None or time_ps <= bound:
+                    heapq.heappop(queue)
+                    event._in_sched = False
+                    heap.live -= 1
+                    return event
+            if not lane:
+                return None
+            event = lane.popleft()
+            if event.cancelled:
+                continue
+            event._in_sched = False
+            self._lane_live -= 1
+            self.lane_events_processed += 1
+            return event
 
     def step(self) -> bool:
         """Run the next pending event; returns False if none are left."""
@@ -448,26 +384,16 @@ class EventLoop:
         ``max_events`` guards against runaway simulations; exceeding it is a
         bug in the caller, not a normal exit.
 
-        The default :class:`HeapScheduler` gets a fully inlined loop (the
-        hottest code in the simulator); other schedulers run through the
-        generic :meth:`~HeapScheduler.pop_due` protocol.  Both paths fire
-        the same events in the same order with the same clock updates.
-
         With a :class:`Watchdog` armed the watched loop runs instead —
         same events, same order, same clocks, plus the wall-clock
         deadline and livelock guards.
         """
         if self.watchdog is not None:
             self._run_watched(until_ps, max_events)
-        elif type(self.scheduler) is HeapScheduler:
-            self._run_heap(until_ps, max_events)
-        else:
-            self._run_generic(until_ps, max_events)
-
-    def _run_heap(self, until_ps: Optional[int], max_events: int) -> None:
-        scheduler = self.scheduler
+            return
+        heap = self._heap
         lane = self._lane
-        queue = scheduler._queue
+        queue = heap.queue
         pop = heapq.heappop
         push = heapq.heappush
         tracer = self.tracer
@@ -479,9 +405,8 @@ class EventLoop:
         self._until_ps = until_ps
         try:
             # A horizon already in the past fires nothing (events at `now`
-            # would overshoot it), mirroring the heap-only behaviour; past
-            # entry the check never trips — the heap branch breaks first,
-            # and lane events are always at `now`.
+            # would overshoot it); past entry the check never trips — the
+            # heap branch breaks first, and lane events are always at `now`.
             while until_ps is None or until_ps >= now:
                 # Inline _next_event(): this loop is the hottest code in the
                 # simulator, every attribute load counts.
@@ -490,10 +415,10 @@ class EventLoop:
                         entry = pop(queue)
                         event = entry[2]
                         if event.cancelled:
-                            scheduler._cancelled_pending -= 1
+                            heap.cancelled -= 1
                             continue
                         event._in_sched = False
-                        scheduler.live -= 1
+                        heap.live -= 1
                     else:
                         event = lane.popleft()
                         if event.cancelled:
@@ -505,7 +430,7 @@ class EventLoop:
                     entry = pop(queue)
                     event = entry[2]
                     if event.cancelled:
-                        scheduler._cancelled_pending -= 1
+                        heap.cancelled -= 1
                         continue
                     time_ps = entry[0]
                     if until_ps is not None and time_ps > until_ps:
@@ -514,7 +439,7 @@ class EventLoop:
                         push(queue, entry)
                         break
                     event._in_sched = False
-                    scheduler.live -= 1
+                    heap.live -= 1
                     now = time_ps
                     self.now_ps = time_ps
                 else:
@@ -542,102 +467,38 @@ class EventLoop:
         if until_ps is not None and until_ps > self.now_ps:
             self.now_ps = until_ps
 
-    def _run_generic(self, until_ps: Optional[int], max_events: int) -> None:
-        """Scheduler-agnostic run loop — same order and clocks as above."""
-        lane = self._lane
-        pop_due = self.scheduler.pop_due
-        tracer = self.tracer
-        live = self.live_counts
-        now = self.now_ps
-        count = 0
-        lane_count = 0
-        prev_until = self._until_ps
-        self._until_ps = until_ps
-        try:
-            while until_ps is None or until_ps >= now:
-                if lane:
-                    # Scheduler entries at the current instant fire before
-                    # lane entries (seq order, see schedule_at).
-                    event = pop_due(now)
-                    if event is None:
-                        event = lane.popleft()
-                        if event.cancelled:
-                            continue
-                        event._in_sched = False
-                        self._lane_live -= 1
-                        lane_count += 1
-                else:
-                    event = pop_due(until_ps)
-                    if event is None:
-                        break
-                    time_ps = event.time_ps
-                    now = time_ps
-                    self.now_ps = time_ps
-                if tracer is not None:
-                    tracer.emit("event", "event_fired",
-                                cb=_callback_name(event.callback))
-                event.callback()
-                count += 1
-                if live is not None:
-                    live[0] = count
-                    live[1] = lane_count
-                if count > max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {max_events} events at "
-                        f"{self.now_ps} ps"
-                    )
-        finally:
-            self._until_ps = prev_until
-            self.events_processed += count
-            self.lane_events_processed += lane_count
-            if live is not None:
-                live[0] = 0
-                live[1] = 0
-        if until_ps is not None and until_ps > self.now_ps:
-            self.now_ps = until_ps
-
     def _run_watched(self, until_ps: Optional[int], max_events: int) -> None:
-        """The generic run loop wrapped in watchdog guards.
+        """:meth:`run` through :meth:`_next_event`, wrapped in watchdog guards.
 
         Fires the same events in the same order with the same clock
-        updates as :meth:`_run_heap`/:meth:`_run_generic` — the guards
-        only *observe* (a wall-clock read every ``check_every`` events,
-        one comparison per event for the zero-advance counter) and abort
-        via :class:`~repro.errors.SimAborted` when tripped.
+        updates as the plain loop — the guards only *observe* (a
+        wall-clock read every ``check_every`` events, one comparison per
+        event for the zero-advance counter) and abort via
+        :class:`~repro.errors.SimAborted` when tripped.  Lane events are
+        counted by :meth:`_next_event` as they pop, so the live cell's
+        lane slot stays zero.
         """
         watchdog = self.watchdog
         deadline = (time.monotonic() + watchdog.wall_deadline_s
                     if watchdog.wall_deadline_s is not None else None)
         max_zero = watchdog.max_zero_advance
         check_every = watchdog.check_every
-        lane = self._lane
-        pop_due = self.scheduler.pop_due
+        next_event = self._next_event
         tracer = self.tracer
         live = self.live_counts
         now = self.now_ps
         zero_advance = 0
         count = 0
-        lane_count = 0
         prev_until = self._until_ps
         self._until_ps = until_ps
         try:
             while until_ps is None or until_ps >= now:
-                if lane:
-                    event = pop_due(now)
-                    if event is None:
-                        event = lane.popleft()
-                        if event.cancelled:
-                            continue
-                        event._in_sched = False
-                        self._lane_live -= 1
-                        lane_count += 1
-                else:
-                    event = pop_due(until_ps)
-                    if event is None:
-                        break
-                    time_ps = event.time_ps
-                    if time_ps > now:
-                        zero_advance = -1  # this event advances the clock
+                event = next_event(until_ps)
+                if event is None:
+                    break
+                time_ps = event.time_ps
+                if time_ps > now:
+                    zero_advance = -1  # this event advances the clock
                     now = time_ps
                     self.now_ps = time_ps
                 if tracer is not None:
@@ -648,7 +509,6 @@ class EventLoop:
                 zero_advance += 1
                 if live is not None:
                     live[0] = count
-                    live[1] = lane_count
                 if count > max_events:
                     raise SimulationError(
                         f"event budget exhausted after {max_events} events at "
@@ -671,10 +531,8 @@ class EventLoop:
         finally:
             self._until_ps = prev_until
             self.events_processed += count
-            self.lane_events_processed += lane_count
             if live is not None:
                 live[0] = 0
-                live[1] = 0
         if until_ps is not None and until_ps > self.now_ps:
             self.now_ps = until_ps
 
@@ -682,17 +540,13 @@ class EventLoop:
                              zero_advance: int = 0, top: int = 8) -> dict:
         """What the simulation looks like *right now*, for abort reports.
 
-        Walks the scheduler seam's ``iter_entries`` plus the fast lane to
-        attribute pending events to their callback owners — on a livelock
-        that list names the components spinning at the current instant.
-        ``metrics`` is included when the armed watchdog carries a
-        registry reference.
+        Walks :meth:`iter_entries` to attribute pending events to their
+        callback owners — on a livelock that list names the components
+        spinning at the current instant.  ``metrics`` is included when
+        the armed watchdog carries a registry reference.
         """
         owners: _Counter = _Counter()
-        for _time_ps, event in self.scheduler.iter_entries():
-            if not event.cancelled:
-                owners[_callback_name(event.callback)] += 1
-        for event in self._lane:
+        for _time_ps, event in self.iter_entries():
             if not event.cancelled:
                 owners[_callback_name(event.callback)] += 1
         snapshot = {

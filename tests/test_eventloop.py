@@ -82,6 +82,100 @@ class TestEventLoop:
         assert fired == [2] and loop.now_ps == 20
 
 
+class TestExactPendingCounts:
+    def test_cancel_decrements_exactly_once(self):
+        loop = EventLoop()
+        event = loop.schedule(100, lambda: None)
+        assert loop.pending_events == 1
+        event.cancel()
+        assert loop.pending_events == 0
+        event.cancel()  # double cancel: no double decrement
+        assert loop.pending_events == 0
+
+    def test_cancel_after_fire_is_noop(self):
+        loop = EventLoop()
+        event = loop.schedule(10, lambda: None)
+        loop.schedule(100, lambda: None)
+        loop.run(until_ps=50)
+        event.cancel()  # stale handle: already fired
+        assert loop.pending_events == 1
+
+    def test_lane_events_counted(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(0, lambda: fired.append(loop.now_ps))
+        lane_event = loop.schedule(0, lambda: fired.append(loop.now_ps))
+        loop.schedule(10, lambda: None)
+        assert loop.pending_events == 3
+        assert loop.next_event_time_ps() == 0
+        lane_event.cancel()
+        assert loop.pending_events == 2
+        loop.run()
+        assert fired == [0] and loop.pending_events == 0
+
+    def test_compaction_keeps_counts_exact_and_order(self):
+        """Cancelling past ``_COMPACT_MIN`` and half the heap rebuilds it
+        in place; live counts stay exact and the survivors still fire in
+        (time, insertion) order."""
+        from repro import MoonGenEnv
+
+        env = MoonGenEnv(seed=0, metrics=True)
+        loop = env.loop
+        gauges = {name: env.metrics.get(f"loop.sched.{name}")
+                  for name in ("entries", "live", "compactions")}
+        base = loop.pending_events
+        fired = []
+        keep_times = [1000 + (i * 37) % 50 for i in range(100)]  # with ties
+        for i, t in enumerate(keep_times):
+            loop.schedule(t, lambda i=i: fired.append(i))
+        dead = [loop.schedule(2000 + i, lambda: fired.append("dead"))
+                for i in range(400)]
+        before = gauges["compactions"].read()
+        for n, event in enumerate(dead, 1):
+            event.cancel()
+            assert loop.pending_events == base + 100 + len(dead) - n
+        assert gauges["compactions"].read() > before
+        assert gauges["live"].read() == loop.pending_events
+        assert gauges["entries"].read() < 2 * gauges["live"].read()
+        loop.run()
+        assert fired == [i for _, i in sorted(
+            (t, i) for i, t in enumerate(keep_times))]
+        assert loop.pending_events == 0
+
+
+class TestLaneAccounting:
+    def _two_follow_ups(self):
+        loop = EventLoop()
+        fired = []
+
+        def root():
+            fired.append("root")
+            loop.schedule(0, lambda: fired.append("a"))
+            loop.schedule(0, lambda: fired.append("b"))
+
+        loop.schedule(10, root)
+        return loop, fired
+
+    def test_step_counts_lane_events_like_run(self):
+        ran, ran_fired = self._two_follow_ups()
+        ran.run()
+        stepped, stepped_fired = self._two_follow_ups()
+        while stepped.step():
+            pass
+        assert stepped_fired == ran_fired == ["root", "a", "b"]
+        assert stepped.events_processed == ran.events_processed == 3
+        assert stepped.lane_events_processed == ran.lane_events_processed == 2
+
+    def test_profiler_counts_lane_events(self):
+        from repro.metrics import LoopProfiler
+
+        loop, fired = self._two_follow_ups()
+        LoopProfiler(loop).run()
+        assert fired == ["root", "a", "b"]
+        assert loop.events_processed == 3
+        assert loop.lane_events_processed == 2
+
+
 class TestSignal:
     def test_trigger_wakes_all(self):
         sig = Signal()

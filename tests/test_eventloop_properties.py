@@ -7,12 +7,14 @@ These pin the scheduler invariants every simulation result rests on:
 * ``run(until_ps)`` never executes an event beyond the horizon,
 * arbitrary interleavings of ``spawn``/``Signal.trigger`` are
   deterministic: two identical runs produce byte-identical traces,
-* killing a parked process drops its waiter registration (no leaks).
+* killing a parked process drops its waiter registration (no leaks),
+* ``run()``, a watched ``run()`` and ``step()`` fire the same events
+  with the same clocks, live counts and event counters.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.nicsim.eventloop import EventLoop, Signal, wait_any
+from repro.nicsim.eventloop import EventLoop, Signal, Watchdog, wait_any
 from tests._hypothesis_profiles import property_settings
 from repro.trace import Tracer
 
@@ -183,8 +185,8 @@ class TestWaiterHygieneProperties:
         assert not any(s.has_waiters for s in signals)
 
 
-# One scheduler-parity "program": arbitrary interleavings of schedule /
-# cancel / run(until) / step, replayed on both backends.
+# One driver-parity "program": arbitrary interleavings of schedule /
+# cancel / run(until) / step, replayed under each way of driving the loop.
 parity_ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"),
@@ -198,49 +200,73 @@ parity_ops = st.lists(
     min_size=1, max_size=60)
 
 
-def _drive_scheduler(scheduler, ops):
-    """Replay one op sequence; returns every observable the loop exposes."""
-    loop = EventLoop(scheduler=scheduler)
+def _drive(ops, watchdog=None, drain_by_step=False):
+    """Replay one op sequence; returns every observable the loop exposes.
+
+    A scheduled callback with delay ``d`` schedules ``d % 3`` same-instant
+    follow-ups when it fires, so programs exercise the fast lane.  The
+    program ends with ``run()``, or with ``while loop.step()`` when
+    ``drain_by_step`` is set.
+    """
+    loop = EventLoop()
+    loop.watchdog = watchdog
     fired = []
     handles = []
     observed = []
+
+    def make_callback(tag, follow_ups):
+        def callback():
+            fired.append((tag, loop.now_ps))
+            for k in range(follow_ups):
+                loop.schedule(
+                    0, lambda k=k: fired.append((tag, k, loop.now_ps)))
+        return callback
+
+    def snapshot():
+        return (loop.now_ps, loop.pending_events, loop.next_event_time_ps(),
+                loop.events_processed, loop.lane_events_processed)
+
     for tag, (kind, arg) in enumerate(ops):
         if kind == "schedule":
-            handles.append(
-                loop.schedule(arg, lambda t=tag: fired.append((t, loop.now_ps))))
+            handles.append(loop.schedule(arg, make_callback(tag, arg % 3)))
         elif kind == "cancel" and handles:
             handles[arg % len(handles)].cancel()
         elif kind == "run_until":
             loop.run(until_ps=loop.now_ps + arg)
         elif kind == "step":
             loop.step()
-        observed.append(
-            (loop.now_ps, loop.pending_events, loop.next_event_time_ps()))
-    loop.run()
-    return fired, observed, loop.now_ps, loop.pending_events, \
-        loop.events_processed
-
-
-class TestSchedulerParity:
-    @settings(**SETTINGS)
-    @given(parity_ops)
-    def test_heap_and_calendar_bit_identical(self, ops):
-        """The house invariant of the scheduler seam: arbitrary
-        schedule/cancel/run(until)/step interleavings produce the same
-        fire order, clocks, live counts, and next-event times on the
-        binary heap and the calendar queue."""
-        assert _drive_scheduler("heap", ops) == \
-            _drive_scheduler("calendar", ops)
-
-    @settings(**SETTINGS)
-    @given(parity_ops)
-    def test_calendar_drains_exactly(self, ops):
-        """After a full drain the calendar's exact live count is zero and
-        nothing lingers but lazily-cancelled entries (none, post-run)."""
-        loop = EventLoop(scheduler="calendar")
-        for tag, (kind, arg) in enumerate(ops):
-            if kind == "schedule":
-                loop.schedule(arg, lambda: None)
+        observed.append(snapshot())
+    if drain_by_step:
+        while loop.step():
+            pass
+    else:
         loop.run()
-        assert loop.pending_events == 0
-        assert loop.scheduler.peek_time() is None
+    return fired, observed, snapshot()
+
+
+class TestDriverParity:
+    @settings(**SETTINGS)
+    @given(parity_ops)
+    def test_watched_run_matches_plain_run(self, ops):
+        """An armed watchdog that never trips changes nothing: same fire
+        order, clocks, live counts, next-event times and event counters."""
+        guard = Watchdog(wall_deadline_s=3600.0, max_zero_advance=10**9)
+        assert _drive(ops, watchdog=guard) == _drive(ops)
+
+    @settings(**SETTINGS)
+    @given(parity_ops)
+    def test_step_drain_matches_run(self, ops):
+        """Draining with ``while loop.step()`` instead of ``run()`` fires
+        the same events and counts the same lane events."""
+        assert _drive(ops, drain_by_step=True) == _drive(ops)
+
+    @settings(**SETTINGS)
+    @given(parity_ops)
+    def test_drains_exactly(self, ops):
+        """After a full drain the exact live count is zero and no live
+        event is left to report."""
+        fired, observed, final = _drive(ops)
+        now_ps, pending, next_time, events, lane_events = final
+        assert pending == 0 and next_time is None
+        assert events == len(fired)
+        assert lane_events <= events

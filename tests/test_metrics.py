@@ -457,13 +457,13 @@ class TestCounterMirrorProperty:
 
 class TestRunManifest:
     def test_roundtrip(self, tmp_path):
-        result = tmp_path / "BENCH_core.json"
+        result = tmp_path / "metrics.jsonl"
         manifest = RunManifest(
-            command="moongen-repro bench --smoke", seed=7, jobs=2,
+            command="moongen-repro metrics quickstart", seed=7, jobs=2,
             config={"mode": "smoke"}, fault_plan={"faults": []},
             result_fingerprint="abcd")
         path = manifest.write(str(result))
-        assert path == str(tmp_path / "BENCH_core.manifest.json")
+        assert path == str(tmp_path / "metrics.manifest.json")
         doc = load_manifest(path)
         assert doc["seed"] == 7 and doc["jobs"] == 2
         assert doc["config_hash"] == stable_hash({"mode": "smoke"})
