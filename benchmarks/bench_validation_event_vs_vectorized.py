@@ -111,64 +111,14 @@ def test_validation_crc_gap_wire_schedule(benchmark):
     assert np.abs(event_gaps - planned_gaps[:len(event_gaps)]).max() <= 1.0
 
 
-def test_validation_fast_forward_agrees(benchmark):
-    """``MoonGenEnv(fast_forward=True)`` must be invisible in the results.
-
-    The steady-state accelerator replaces per-frame MAC events with one
-    arithmetic batch per CBR segment; the final counters must match the
-    event-driven run exactly, and it must actually have engaged."""
-    def run(fast_forward):
-        env = MoonGenEnv(seed=7, fast_forward=fast_forward)
-        tx = env.config_device(0, tx_queues=1)
-        rx = env.config_device(1, rx_queues=1)
-        env.connect(tx, rx)
-
-        def slave(env, queue):
-            mem = env.create_mempool(
-                fill=lambda b: b.udp_packet.fill(pkt_length=60))
-            bufs = mem.buf_array()
-            while env.running():
-                bufs.alloc(60)
-                yield queue.send(bufs)
-
-        env.launch(slave, env, tx.get_tx_queue(0))
-        env.wait_for_slaves(duration_ns=2_000_000)
-        return {
-            "tx_packets": tx.tx_packets,
-            "tx_bytes": tx.tx_bytes,
-            "rx_packets": rx.rx_packets,
-            "rx_bytes": rx.rx_bytes,
-            "now_ps": env.loop.now_ps,
-            "events": env.loop.events_processed,
-            "fast_forwarded": tx.port.fast_forwarded,
-        }
-
-    def experiment():
-        return run(fast_forward=False), run(fast_forward=True)
-
-    plain, fast = run_once(benchmark, experiment)
-    print_table(
-        "steady-state fast-forward vs event-driven @ 10 GbE line rate",
-        ["metric", "event-driven", "fast-forward"],
-        [[key, plain[key], fast[key]]
-         for key in ("tx_packets", "rx_packets", "events", "fast_forwarded")],
-    )
-    assert fast["fast_forwarded"] > 0, "accelerator never engaged"
-    assert plain["fast_forwarded"] == 0
-    assert fast["events"] < plain["events"], "accelerator saved no events"
-    for key in ("tx_packets", "tx_bytes", "rx_packets", "rx_bytes", "now_ps"):
-        assert fast[key] == plain[key], f"{key} diverged under fast_forward"
-
-
 def test_validation_batch_tier_agrees(benchmark):
     """``MoonGenEnv(batch=True)`` must be invisible in the results.
 
-    The batch tier generalizes the fast-forward accelerator: a run
-    detector finds homogeneous event trains and executes them through
-    arithmetic kernels (``repro.batch``).  Counters, bytes, and the final
-    simulation clock must match the event-driven run bit for bit, the
-    tier must have batched the bulk of the frames, and every fallback it
-    took must carry a documented reason."""
+    A run detector finds homogeneous event trains and executes them
+    through arithmetic kernels (``repro.batch``).  Counters, bytes, and
+    the final simulation clock must match the event-driven run bit for
+    bit, the tier must have batched the bulk of the frames, and every
+    fallback it took must carry a documented reason."""
     from repro.batch import FALLBACK_REASONS
 
     def run(batch):
@@ -200,8 +150,8 @@ def test_validation_batch_tier_agrees(benchmark):
     def experiment():
         return run(batch=False), run(batch=True)
 
-    (plain, plain_events, _), (batched, batch_events, tier) = run_once(
-        benchmark, experiment)
+    (plain, plain_events, plain_tier), (batched, batch_events, tier) = \
+        run_once(benchmark, experiment)
     stats = tier.stats()
     print_table(
         "batch tier vs event-driven @ 10 GbE line rate",
@@ -213,6 +163,7 @@ def test_validation_batch_tier_agrees(benchmark):
          ["trains", 0, stats["trains"]],
          ["events saved", 0, stats["events_saved"]]],
     )
+    assert plain_tier is None
     assert batched == plain, "batch tier changed simulation results"
     assert stats["trains"] > 0, "batch tier never engaged"
     assert stats["frames"] > 0.5 * batched["tx_packets"], \

@@ -1,16 +1,12 @@
 """Optional-dependency shims.
 
-numpy is an *optional* accelerator/analysis dependency: the simulator
-core, the batch tier (via its scalar plan path), the fault subsystem,
-and the CLI smoke scenarios all run without it.  Modules that genuinely
-need arrays (generator models, the DuT fastpath, analysis statistics,
-traffic patterns) import ``np`` from here and call :func:`require_numpy`
-at their public entry points so a missing install fails with a clear
-message instead of an ``AttributeError`` on ``None``.
-
-The batch kernels' numpy selection lives separately in
-``repro.batch._vec`` (it also honours the ``REPRO_NO_NUMPY``
-kill-switch); this module is only about *hard* array users.
+numpy is an *optional* analysis dependency: the simulator core, the
+batch tier, the fault subsystem, and the CLI smoke scenarios all run
+without it.  Modules that genuinely need arrays (generator models, the
+DuT fastpath, analysis statistics, traffic patterns) import ``np`` from
+here and call :func:`require_numpy` at their public entry points so a
+missing install fails with a clear message instead of an
+``AttributeError`` on ``None``.
 """
 
 from __future__ import annotations

@@ -1,36 +1,35 @@
-"""Vectorized batch execution tier for the event loop.
+"""Batch execution tier for the event loop.
 
-``repro.batch`` generalizes the steady-state CBR fast-forward (PR 2) into
-a real execution tier: a run-detector (:mod:`repro.batch.detector`)
-inspects a port's pending work for homogeneous event trains — per-queue
-TX/DMA/serialize/wire-delivery sequences with no cross-component
-interaction before a horizon — and executes each train as a closed-form or
-numpy-vectorized batch (:mod:`repro.batch.kernels`), updating NIC, link,
-and rx-side state to exactly the values the discrete loop would have
-produced.  At any interaction point (a fault firing, queue-full
-backpressure via the tx space signal, a parked receiver, a monitor that
-must sample, an enabled tracer, an in-flight frame straddling the bound)
-it falls back to event-by-event execution and accounts the reason.
+A run-detector (:mod:`repro.batch.detector`) inspects a port's pending
+work for homogeneous event trains — per-queue TX/DMA/serialize/
+wire-delivery sequences with no cross-component interaction before the
+next live event — and executes each train arithmetically
+(:mod:`repro.batch.kernels`), updating NIC, link, and rx-side state to
+exactly the values the discrete loop would have produced.  At any
+interaction point (a fault firing, queue-full backpressure via the tx
+space signal, a parked receiver, a monitor that must sample, an enabled
+tracer, an in-flight frame straddling the bound) it falls back to
+event-by-event execution and accounts the reason.
 
-Enable it with ``MoonGenEnv(batch=True)`` (or the legacy alias
-``fast_forward=True``), or ``--batch`` on the CLI.  Bit-identical output
-is the house invariant: ``tests/test_batch_equivalence.py`` runs every
-wired scenario twice (batch on/off) and diffs result dicts, device
-counters, metrics fingerprints, and golden traces.
+Enable it with ``MoonGenEnv(batch=True)``, or ``--batch`` on the CLI.
+Bit-identical output is the house invariant:
+``tests/test_batch_equivalence.py`` runs every wired scenario twice
+(batch on/off) and diffs result dicts, device counters, metrics
+fingerprints, and golden traces.
 
 The tier's own statistics are scheduler self-accounting — they describe
 the batching machinery's work, not the simulated world.  With a metrics
-registry enabled they are published under the ``batch.`` prefix
-(``batch.trains``, ``batch.frames``, ``batch.events_saved``, and one
-``batch.fallback.<reason>`` counter per fallback reason); every
-fingerprint comparison between batch and event runs excludes ``batch.*``
-alongside ``loop.*`` for exactly that reason.  Read them directly with
-:meth:`BatchTier.stats` or :meth:`BatchTier.summary`.
+registry enabled they are published next to the heap's ``loop.sched.*``
+gauges (``loop.batch.trains``, ``loop.batch.frames``,
+``loop.batch.events_saved``, and one ``loop.batch.fallback.<reason>``
+counter per fallback reason), so the ``loop.`` prefix every fingerprint
+excludes covers them.  Read them directly with :meth:`BatchTier.stats` or
+:meth:`BatchTier.summary`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.batch.detector import FALLBACK_REASONS, Train, detect_train
 from repro.batch.kernels import run_train
@@ -42,22 +41,13 @@ __all__ = ["BatchTier", "Train", "detect_train", "run_train",
 class BatchTier:
     """The batch dispatch hook installed on an :class:`EventLoop`.
 
-    One tier is shared by every port on a loop (``loop.batch``); ports
-    opted in via ``NicPort.fast_forward`` route their post-transmit MAC
-    state through :meth:`execute`.
-
-    ``horizon_ns`` optionally caps the train length in simulated time:
-    each train then ends no later than ``start + horizon``, forcing a
-    return to the discrete loop at least that often.  The default
-    (``None``) lets trains run to the next live event / run horizon /
-    intrinsic stop, which is always exact; the cap exists for tests that
-    probe bound handling and for callers that want bounded latency
-    between fallback points.
+    One tier is shared by every port on a loop (``loop.batch``); each
+    port routes its post-transmit MAC state through :meth:`execute`.
+    Trains run to the next live event, the run horizon, or their
+    intrinsic stop.
     """
 
-    def __init__(self, horizon_ns: Optional[float] = None) -> None:
-        self.horizon_ps: Optional[int] = (
-            None if horizon_ns is None else max(1, round(horizon_ns * 1000)))
+    def __init__(self) -> None:
         #: Trains executed (at least one frame batched).
         self.trains = 0
         #: Frames sent through batch kernels.
@@ -75,7 +65,7 @@ class BatchTier:
         Returns the MAC-free time to schedule ``_mac_done`` at: advanced
         past every batched frame, or ``start_ps`` unchanged on fallback.
         """
-        train = detect_train(port, start_ps, self.horizon_ps)
+        train = detect_train(port, start_ps)
         if type(train) is str:
             counts = self.fallbacks
             counts[train] = counts.get(train, 0) + 1

@@ -7,9 +7,8 @@ FIFO (plus, for a single source queue, descriptors the prefetcher would
 pull from its ring), a jitter-free wire, and a plain ``NicPort.receive``
 sink.  Such a train can be executed arithmetically (``repro.batch.kernels``)
 without scheduling its events, and the world at the next *observable*
-instant — the next live event, the active ``run(until_ps=...)`` horizon, or
-the tier's own train-length cap — is bit-identical to what the discrete
-loop would have produced.
+instant — the next live event or the active ``run(until_ps=...)``
+horizon — is bit-identical to what the discrete loop would have produced.
 
 Since PR 7 a train spans the *whole pipeline*: TX queue → descriptor fetch
 → wire propagation → sink-port RX ring, including frames whose arrival
@@ -59,7 +58,7 @@ event path consults per frame:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.nicsim.link import Wire
 from repro.nicsim.nic import NicPort
@@ -70,7 +69,7 @@ from repro.nicsim.nic import NicPort
 _SCAN_MAX = 2048
 
 #: Stable fallback-reason vocabulary (docs/PERFORMANCE.md documents each).
-#: ``Wire.batch_blockers`` contributes the ``wire-*`` and ``tracer``
+#: ``Wire.batch_blocker`` contributes the ``wire-*`` and ``tracer``
 #: reasons; everything else is attributed here or by the tier itself.
 FALLBACK_REASONS: Tuple[str, ...] = (
     "tracer",               # enabled tracer records per-frame events
@@ -335,8 +334,7 @@ def _chain_bound(loop, port, sink_port, plain_bound: int) -> Optional[int]:
     return best
 
 
-def detect_train(port: NicPort, start_ps: int,
-                 horizon_ps: Optional[int] = None) -> Union[Train, str]:
+def detect_train(port: NicPort, start_ps: int) -> Union[Train, str]:
     """Inspect ``port`` mid-kick; return a :class:`Train` or a reason string.
 
     Called by :meth:`repro.batch.BatchTier.execute` from inside
@@ -356,9 +354,9 @@ def detect_train(port: NicPort, start_ps: int,
     wire = port.wire
     if wire is None:
         return "no-wire"
-    if not wire.can_fast_forward():
-        blockers = wire.batch_blockers()
-        return blockers[0] if blockers else "wire-unconnected"
+    blocker = wire.batch_blocker()
+    if blocker is not None:
+        return blocker
     sink = wire.sink
     memo = port._batch_sink
     if memo is not None and memo[0] is wire and memo[1] is sink:
@@ -443,7 +441,7 @@ def detect_train(port: NicPort, start_ps: int,
     # arrival.  Entries landing at/after the bound are put straight back
     # (their delivery events stay real); the kernel owns only the prefix.
     entries = wire.detach_pending()
-    bound = loop.fast_forward_bound_ps()
+    bound = loop.batch_bound_ps()
     if bound is None and port._in_enqueue and (pend is None or pend.parked):
         # Empty heap, and this kick is running synchronously inside an
         # undeclared producer's ``enqueue`` — the producer is mid-call,
@@ -452,9 +450,7 @@ def detect_train(port: NicPort, start_ps: int,
         # queue-full backpressure, changing its park/resume instants.  A
         # declared send (``pend``) or a kick outside any enqueue (a pure
         # drain: link-up, fault-clear, ``_mac_done``) is intrinsically
-        # bounded by the staged work.  The tier's horizon cap below
-        # deliberately cannot rescue this case: it caps a train, it does
-        # not create a legitimate bound.
+        # bounded by the staged work.
         wire.reattach_pending(entries)
         return "unbounded"
     if bound is not None:
@@ -469,10 +465,6 @@ def detect_train(port: NicPort, start_ps: int,
         if extended is not None or not (
                 port._in_enqueue and (pend is None or pend.parked)):
             bound = extended
-    if horizon_ps is not None:
-        limit = start_ps + horizon_ps
-        if bound is None or limit < bound:
-            bound = limit
     if bound is not None and bound <= start_ps:
         # The next live event lands before the in-flight frame's MAC even
         # ends: no frame can serialize before the bound, so skip the

@@ -17,16 +17,16 @@ Two kernels:
   source queue only, bounded by the train's space-signal fetch budget),
   then transmits the FIFO head.  Once no further fetch can occur, the
   remaining drain is *planned* in closed form for uniform frame sizes or
-  with a numpy cumulative-sum scan for mixed sizes, and delivered in a
-  tight loop without per-frame bound checks.
+  with one cumulative scan for mixed sizes, and delivered in a tight loop
+  without per-frame bound checks.
 * :func:`_paced_ring_train` — hardware rate control: frames leave at
   ``max(next_allowed, mac_free)`` and the limiter advances per frame
   through the exact event-path arithmetic (``_advance_rate_limiter``),
   so the ±tick dithering the paper measures in Section 7.3 is preserved
   bit for bit.
 
-A train stops at the first of: the bound (next live event / run horizon /
-tier train cap), a timestamp-marked frame, the space-signal fetch budget,
+A train stops at the first of: the bound (next live event / run horizon),
+a timestamp-marked frame, the space-signal fetch budget,
 or ring + FIFO exhaustion.  Unbounded trains (``bound_ps is None`` —
 nothing else live in the heap) drain to exhaustion and additionally
 schedule the wire's final delivery instant, so the loop clock ends where
@@ -47,10 +47,6 @@ from repro.errors import QueueError
 
 _PB_RECYCLE = _PacketBuffer.recycle
 
-from repro.batch import _vec
-
-#: Below this many frames, scalar arithmetic beats array set-up costs.
-_VECTOR_MIN = 64
 #: Minimum drain length worth a planning pass at all.
 _PLAN_MIN = 16
 #: Minimum planned span worth the bulk drop path's prefix scan.
@@ -94,9 +90,10 @@ def _plan_drain(fifo, card, speed, end_ps, bound, latency) -> int:
     descriptor fetch can occur for the rest of the train.
 
     Closed form for a uniform-size prefix (the steady-state CBR shape:
-    zero per-frame arithmetic beyond the membership scan); numpy
-    cumulative-sum + searchsorted for mixed sizes.  Frames carrying a
-    ``timestamp`` request end the plan — the scalar caller names the stop.
+    zero per-frame arithmetic beyond the membership scan), then one
+    cumulative scan over the rest.  Frames carrying a ``timestamp``
+    request end the plan — the scalar caller names the stop.  An
+    unbounded drain plans only the uniform prefix.
     """
     first = fifo[0][0]
     if first.meta.get("timestamp"):
@@ -119,30 +116,21 @@ def _plan_drain(fifo, card, speed, end_ps, bound, latency) -> int:
         if frame.size != size0 or frame.meta.get("timestamp"):
             break
         n += 1
-    if n == limit or fifo[n][0].meta.get("timestamp") or headroom is None:
+    if headroom is None:
         return n
-    # Mixed sizes: vectorized cumulative plan over the unmarked prefix.
-    macs = [mac0] * n
+    # The uniform prefix fits (n <= limit), and every MAC time is
+    # positive, so the cumulative sum crosses the headroom at most once:
+    # the plan is every frame scanned before it does.  A smaller frame may
+    # still fit after a prefix cut at ``limit``.
     total = n * mac0
     for i in range(n, len(fifo)):
         frame = fifo[i][0]
         if frame.meta.get("timestamp"):
-            break
-        mac = card.effective_frame_time_ps(frame, speed)
-        macs.append(mac)
-        total += mac
+            return i
+        total += card.effective_frame_time_ps(frame, speed)
         if total > headroom:
-            break
-    if len(macs) >= _VECTOR_MIN:
-        return _vec.plan_limit(macs, headroom)
-    count = 0
-    running = 0
-    for mac in macs:
-        running += mac
-        if running > headroom:
-            break
-        count += 1
-    return count
+            return i
+    return len(fifo)
 
 
 def _fifo_train(train, start_ps: int) -> Tuple[int, int]:
@@ -668,7 +656,6 @@ def _fifo_train(train, start_ps: int) -> Tuple[int, int]:
         wire.bytes_sent += sent_bytes
         port.tx_packets += sent
         port.tx_bytes += sent_bytes
-        port.fast_forwarded += sent
         if hoist_q:
             source.tx_packets += sent
             source.tx_bytes += sent_bytes
@@ -773,7 +760,6 @@ def _paced_ring_train(train, start_ps: int) -> Tuple[int, int]:
     if sent:
         port.tx_packets += sent
         port.tx_bytes += sent_bytes
-        port.fast_forwarded += sent
         # The event path round-robins past the winning queue on every
         # pick; with a single eligible queue the pointer's final value is
         # the same after every frame.

@@ -94,8 +94,10 @@ def _write_metrics(snapshotter, out: str, command: str, seed: int,
     from repro.metrics import RunManifest, write_jsonl
 
     snapshotter.finalize()
+    series = snapshotter.series
     with _atomic_out(out) as fh:
-        write_jsonl(snapshotter.series, fh)
+        write_jsonl(series, fh)
+    fingerprint = series.fingerprint()
     manifest_path = RunManifest(
         command=command,
         seed=seed,
@@ -104,12 +106,11 @@ def _write_metrics(snapshotter, out: str, command: str, seed: int,
                 "metrics": snapshotter.registry.names()},
         fault_plan=(fault_plan.to_dict()
                     if hasattr(fault_plan, "to_dict") else fault_plan),
-        result_fingerprint=snapshotter.series.fingerprint(),
+        result_fingerprint=fingerprint,
         fingerprints=fingerprints,
     ).write(out)
-    print(f"wrote {len(snapshotter.series)} metric snapshots to {out} "
-          f"(fingerprint {snapshotter.series.fingerprint()}, "
-          f"manifest {manifest_path})")
+    print(f"wrote {len(series)} metric snapshots to {out} "
+          f"(fingerprint {fingerprint}, manifest {manifest_path})")
 
 
 def _build_quickstart(seed: int, faults=None, metrics=False, batch=False,
@@ -698,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--batch", action="store_true",
                    help="execute homogeneous event trains through the "
-                        "vectorized batch tier (bit-identical output)")
+                        "batch tier (bit-identical output)")
     p.add_argument("--faults", metavar="PLAN",
                    help="fault plan: builtin name (see 'faults --list') or a plan.json path")
     p.add_argument("--metrics", metavar="OUT.JSONL",
@@ -716,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--batch", action="store_true",
                    help="execute homogeneous event trains through the "
-                        "vectorized batch tier (bit-identical output)")
+                        "batch tier (bit-identical output)")
     p.add_argument("--faults", metavar="PLAN",
                    help="fault plan: builtin name (see 'faults --list') or a plan.json path")
     p.add_argument("--metrics", metavar="OUT.JSONL",
@@ -762,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "are bit-identical either way)")
     p.add_argument("--batch", action="store_true",
                    help="execute homogeneous event trains through the "
-                        "vectorized batch tier (bit-identical output)")
+                        "batch tier (bit-identical output)")
     p.add_argument("--csv", metavar="OUT.CSV",
                    help="write the per-method bucket histograms as CSV "
                         "(+ manifest with per-method fingerprints)")

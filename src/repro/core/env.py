@@ -32,8 +32,7 @@ class MoonGenEnv:
         core_freq_hz: float = REFERENCE_FREQ_HZ,
         cost_noise: bool = True,
         trace=None,
-        fast_forward: bool = False,
-        batch=None,
+        batch: bool = False,
         faults=None,
         metrics=None,
         dataplane=None,
@@ -44,22 +43,14 @@ class MoonGenEnv:
         #: homogeneous event trains — FIFO drains, prefetch steady states,
         #: hardware-paced ring trains — arithmetically whenever no tracer/
         #: observer/fault/timestamp needs per-frame fidelity, falling back
-        #: to the event path at every interaction point.  ``batch`` may be
-        #: ``True`` (fresh tier), a pre-built :class:`~repro.batch.BatchTier`
-        #: (e.g. with a train-length horizon), or ``None``/``False`` —
-        #: in which case the legacy ``fast_forward`` flag decides, keeping
-        #: old callers on the same accelerator they opted into.  Off by
-        #: default; output is bit-identical to the event-driven path
-        #: (enforced by ``tests/test_batch_equivalence.py``).
-        if batch is None or batch is False:
-            batch = fast_forward
+        #: to the event path at every interaction point.  Off by default;
+        #: output is bit-identical to the event-driven path (enforced by
+        #: ``tests/test_batch_equivalence.py``).
         self.batch = None
         if batch:
             from repro.batch import BatchTier
 
-            self.batch = batch if isinstance(batch, BatchTier) else BatchTier()
-            self.loop.batch = self.batch
-        self.fast_forward = self.batch is not None
+            self.batch = self.loop.batch = BatchTier()
         self.seed = seed
         self.cost_model = CycleCostModel(seed=seed, noisy=cost_noise)
         self.core_freq_hz = core_freq_hz
@@ -134,10 +125,9 @@ class MoonGenEnv:
                          if _events_total() else 0.0),
                 help="fraction of events taken via the same-instant "
                      "fast lane")
-            # Heap self-accounting.  Like ``batch.*`` these describe the
-            # scheduler's work, not the simulated world, so they ride
-            # under the ``loop.`` prefix every fingerprint comparison
-            # already excludes.
+            # Heap self-accounting.  These describe the scheduler's work,
+            # not the simulated world, so they ride under the ``loop.``
+            # prefix every fingerprint excludes by default.
             sched_help = {
                 "entries": "entries stored (incl. lazily-cancelled)",
                 "live": "live (non-cancelled) entries enqueued",
@@ -148,29 +138,24 @@ class MoonGenEnv:
             if self.injector is not None:
                 self.injector.register_metrics(registry)
             if self.batch is not None:
-                # Batch-tier self-accounting.  These describe the
-                # *scheduler's* work, not the simulated world, so every
-                # fingerprint comparison between batch and event runs
-                # excludes the ``batch.`` prefix (alongside ``loop.``).
+                # Batch-tier self-accounting: scheduler work too, so it
+                # is published under ``loop.batch.``.
                 from repro.batch import FALLBACK_REASONS
 
                 tier = self.batch
                 registry.counter(
-                    "batch.trains", lambda: tier.trains,
+                    "loop.batch.trains", lambda: tier.trains,
                     help="event trains executed arithmetically")
                 registry.counter(
-                    "batch.frames", lambda: tier.frames,
+                    "loop.batch.frames", lambda: tier.frames,
                     help="frames sent through batch kernels")
                 registry.counter(
-                    "batch.events_saved", lambda: tier.events_saved,
+                    "loop.batch.events_saved", lambda: tier.events_saved,
                     help="events the discrete loop would have scheduled "
                          "for the batched frames")
-                reasons = tuple(FALLBACK_REASONS)
-                if "horizon" not in reasons:
-                    reasons += ("horizon",)
-                for reason in reasons:
+                for reason in FALLBACK_REASONS:
                     registry.counter(
-                        f"batch.fallback.{reason}",
+                        f"loop.batch.fallback.{reason}",
                         lambda r=reason: tier.fallbacks.get(r, 0),
                         help=f"kicks that fell back to event execution "
                              f"({reason})")
@@ -259,7 +244,6 @@ class MoonGenEnv:
             clock_drift_ppm=clock_drift_ppm,
             clock_phase_steps=clock_phase_steps,
         )
-        port.fast_forward = self.batch is not None
         device = Device(self, port)
         self.devices[port_id] = device
         if self.injector is not None:

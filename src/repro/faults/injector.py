@@ -5,8 +5,8 @@ and the DuT under the names of the target grammar (``"wire:A->B"``,
 ``"port:N"``, ``"dut"``) as it builds the topology, and each registration
 arms the plan's faults against that target — scheduled as ordinary event-
 loop events, so fault boundaries participate in the deterministic total
-order of the simulation (and bound the fast-forward accelerator, which
-additionally refuses wires marked :attr:`Wire.faulted`).
+order of the simulation (and bound the batch tier, which additionally
+refuses wires marked :attr:`Wire.faulted`).
 
 Every fault emits ``fault``-category trace records at its boundaries;
 stochastic faults draw from their own per-fault RNG stream seeded with
@@ -76,7 +76,7 @@ class FaultInjector:
         self._wires[name] = wire
         if self._touched_by_plan(name):
             # Pin the wire to the event-driven path for the whole run: a
-            # fast-forward batch must never straddle a fault boundary, and
+            # batch-tier train must never straddle a fault boundary, and
             # carrier/loss state on this wire can change at any of them.
             wire.faulted = True
         for index, fault in enumerate(self.plan.faults):

@@ -56,7 +56,7 @@ def run_plan(
     gains a ``latency_fingerprint`` key and the histograms ride into
     ``metrics_fingerprint``.
 
-    With ``batch=True`` the run executes under the vectorized batch tier
+    With ``batch=True`` the run executes under the batch tier
     (``repro.batch``); the result dict is bit-identical either way — a
     fault firing mid-train is impossible by construction (faulted wires
     and stalled queues are fallback reasons in the run detector), so the
@@ -156,12 +156,10 @@ def run_plan(
         result["dut_rx_dropped"] = dut.rx_dropped
     if snapshotter is not None:
         snapshotter.finalize()
-        # ``loop.*`` and ``batch.*`` are scheduler self-accounting: the
-        # batch tier changes them while leaving the simulated world
-        # bit-identical, and the fingerprint must hold across
-        # serial/sharded *and* batch/event.
-        result["metrics_fingerprint"] = snapshotter.series.fingerprint(
-            exclude_prefixes=("loop.", "batch."))
+        # The fingerprint leaves out the ``loop.*`` scheduler
+        # self-accounting, so it holds across serial/sharded *and*
+        # batch/event.
+        result["metrics_fingerprint"] = snapshotter.series.fingerprint()
     if env.dataplane is not None:
         result["latency_fingerprint"] = env.dataplane.fingerprint()
     result["fingerprint"] = fingerprint_of(result)

@@ -59,12 +59,7 @@ class TimeSeries:
         """One canonical-JSON object per line (trailing newline included).
 
         ``exclude_prefixes`` drops columns whose name starts with any of
-        the given prefixes.  The one established use is ``("loop.",)``:
-        the loop's self-accounting describes *scheduler* work, which the
-        batch execution tier legitimately changes while leaving the
-        simulated world bit-identical — equivalence comparisons must
-        exclude it (docs/ARCHITECTURE.md, "testing the equivalence
-        claim").
+        the given prefixes.
         """
         rows = self.rows
         if not rows:
@@ -77,8 +72,16 @@ class TimeSeries:
             ]
         return "\n".join(canonical_json(row) for row in rows) + "\n"
 
-    def fingerprint(self, exclude_prefixes: Tuple[str, ...] = ()) -> str:
-        """Short BLAKE2b hash of the canonical JSONL serialization."""
+    def fingerprint(self, exclude_prefixes: Tuple[str, ...] = ("loop.",)
+                    ) -> str:
+        """Short BLAKE2b hash of the canonical JSONL serialization.
+
+        ``loop.*`` is left out by default: the event loop's and the batch
+        tier's self-accounting describe *scheduler* work, which the batch
+        tier legitimately changes while leaving the simulated world
+        bit-identical (docs/ARCHITECTURE.md, "testing the equivalence
+        claim").  Pass ``()`` to hash every column.
+        """
         return hashlib.blake2b(
             self.to_jsonl(exclude_prefixes).encode("utf-8"),
             digest_size=8).hexdigest()

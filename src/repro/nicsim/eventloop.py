@@ -188,7 +188,7 @@ class EventLoop:
         self._running = False
         self._processes: List["Process"] = []
         #: Horizon of the innermost active ``run(until_ps=...)`` call, used
-        #: by fast-forward helpers to bound arithmetic time skips.
+        #: by the batch tier to bound its arithmetic time skips.
         self._until_ps: Optional[int] = None
         #: Total events executed over the loop's lifetime, by :meth:`run`,
         #: :meth:`step` or the self-profiler.
@@ -207,11 +207,11 @@ class EventLoop:
         #: instrumentation site on its zero-cost fast path.
         self.tracer = None
         #: Batch dispatch hook (``repro.batch``): a :class:`BatchTier`
-        #: shared by every component on this loop, or ``None``.  Ports
-        #: whose ``fast_forward`` flag is set route homogeneous event
-        #: trains through ``batch.execute(port, start_ps)`` instead of
-        #: scheduling them one event at a time; the tier owns the
-        #: run-detection rules and the fallback accounting.
+        #: shared by every port on this loop, or ``None``.  While set,
+        #: ports route homogeneous event trains through
+        #: ``batch.execute(port, start_ps)`` instead of scheduling them
+        #: one event at a time; the tier owns the run-detection rules
+        #: and the fallback accounting.
         self.batch = None
         #: Optional :class:`Watchdog`; ``None`` (default) keeps ``run()``
         #: on the uninstrumented fast path.  With one armed, ``run()``
@@ -270,9 +270,9 @@ class EventLoop:
     def next_event_time_ps(self) -> Optional[int]:
         """Time of the next live event, or ``None`` if the loop is empty.
 
-        Fast-forward helpers use this (plus the active ``run`` horizon,
-        see :meth:`fast_forward_bound_ps`) to know how far state may be
-        advanced arithmetically without skipping an observer.
+        The batch tier uses this (plus the active ``run`` horizon, see
+        :meth:`batch_bound_ps`) to know how far state may be advanced
+        arithmetically without skipping an observer.
         """
         if self._lane_live:
             return self.now_ps
@@ -286,21 +286,16 @@ class EventLoop:
             heap.cancelled -= 1
         return None
 
-    def fast_forward_bound_ps(self, limit_ps: Optional[int] = None) -> Optional[int]:
-        """Latest instant a batch/fast-forward may advance state to, exclusive.
+    def batch_bound_ps(self) -> Optional[int]:
+        """Latest instant a batch-tier train may advance state to, exclusive.
 
         ``None`` means unbounded (empty queue, no active horizon).  Inside
         ``run(until_ps=...)`` the horizon caps the bound so counters never
         reflect frames the event-driven path would not have sent yet.
-        ``limit_ps`` lets callers impose an extra cap (e.g. the batch
-        tier's configurable train horizon); the returned bound is the
-        minimum of all three.
         """
         bound = self.next_event_time_ps()
         if self._until_ps is not None:
             bound = self._until_ps if bound is None else min(bound, self._until_ps)
-        if limit_ps is not None:
-            bound = limit_ps if bound is None else min(bound, limit_ps)
         return bound
 
     # -- introspection (batch detector, watchdog, metrics) ---------------------

@@ -165,7 +165,7 @@ class Wire:
         self.dropped = 0
         #: Set by a fault injector that targets this wire; forces the
         #: event-driven path even while no fault window is active, so a
-        #: fast-forward batch can never straddle a scheduled fault.
+        #: batch-tier train can never straddle a scheduled fault.
         self.faulted = False
         self.sink: Optional[Callable[[object, int], None]] = None
         #: Time the wire becomes free (end of last serialization), ps.
@@ -340,7 +340,7 @@ class Wire:
         Arrivals are strictly increasing, so the deque is sorted: a
         delivery event fired at time T delivers exactly the frames with
         ``arrival <= T`` that an earlier event has not already drained
-        (the fast-forward path drains ahead; its leftover events no-op).
+        (the batch tier drains ahead; its leftover events no-op).
         """
         pending = self._pending
         now = self.loop.now_ps
@@ -349,59 +349,44 @@ class Wire:
             frame, arrival, _ = pending.popleft()
             sink(frame, arrival)
 
-    # -- steady-state fast-forward support (see nic.NicPort._fast_forward) ----
+    # -- batch tier support (repro.batch) -------------------------------------
 
-    def can_fast_forward(self) -> bool:
-        """True if per-frame delivery needs no rng draw and no tracer.
+    def batch_blocker(self) -> Optional[str]:
+        """The first condition pinning this wire to the event path, as a
+        stable fallback reason (``repro.batch.FALLBACK_REASONS``), or
+        ``None`` when per-frame delivery needs no rng draw and no tracer.
 
         Jitter and corruption consume random numbers per frame, and the
         tracer records per-frame wire events — each forces the event-driven
         path to keep bit-for-bit fidelity.  A wire targeted by a fault
         injector (``faulted``) is likewise pinned to the event-driven path:
         its carrier/loss state can change at any scheduled fault boundary.
+        The batch detector calls this on every MAC kick.
         """
-        return (self.sink is not None
-                and self._jitter_free
-                and not self.corrupt_rate
-                and not self.phy_frame_bits
-                and not self.faulted
-                and self.carrier_up
-                and self.loss_model is None
-                and self.loop.tracer is None)
-
-    def batch_blockers(self) -> List[str]:
-        """Name every condition pinning this wire to the event path.
-
-        The batch tier (``repro.batch``) calls this only after
-        :meth:`can_fast_forward` returned False, to attribute the fallback
-        to a stable reason string in its statistics; the empty list means
-        the wire is batchable.
-        """
-        reasons = []
         if self.sink is None:
-            reasons.append("wire-unconnected")
+            return "wire-unconnected"
         if not self._jitter_free:
-            reasons.append("wire-jitter")
+            return "wire-jitter"
         if self.corrupt_rate:
-            reasons.append("wire-corruption")
+            return "wire-corruption"
         if self.phy_frame_bits:
-            reasons.append("wire-phy-framing")
+            return "wire-phy-framing"
         if self.faulted:
-            reasons.append("wire-faulted")
+            return "wire-faulted"
         if not self.carrier_up:
-            reasons.append("wire-carrier-down")
+            return "wire-carrier-down"
         if self.loss_model is not None:
-            reasons.append("wire-loss-model")
+            return "wire-loss-model"
         if self.loop.tracer is not None:
-            reasons.append("tracer")
-        return reasons
+            return "tracer"
+        return None
 
     def detach_pending(self) -> List[Tuple[object, int]]:
         """Pull the in-flight frames off the wire, cancelling their drain
         events; returns ``(frame, arrival_ps)`` pairs in arrival order.
 
-        Fast-forward setup: the scheduled drain events would otherwise
-        clamp :meth:`EventLoop.fast_forward_bound_ps` to the very next
+        Batch-train setup: the scheduled drain events would otherwise
+        clamp :meth:`EventLoop.batch_bound_ps` to the very next
         arrival.  The caller either delivers the pairs synchronously (their
         arrival stamps are kept, so the sink sees exactly the event-driven
         calls) or puts them back with :meth:`reattach_pending`.
@@ -415,7 +400,7 @@ class Wire:
         return out
 
     def reattach_pending(self, entries: List[Tuple[object, int]]) -> None:
-        """Undo :meth:`detach_pending` when a fast-forward batch bails."""
+        """Undo :meth:`detach_pending` when a batch-tier train bails."""
         pending = self._pending
         schedule_at = self.loop.schedule_at
         deliver = self._deliver_due
@@ -425,8 +410,8 @@ class Wire:
     def fast_transmit(self, frame: object, frame_size: int, start_ps: int) -> int:
         """``transmit`` minus the delivery event: the sink is called
         synchronously with the exact arrival stamp the event-driven path
-        would have used.  Only valid when :meth:`can_fast_forward` holds
-        and :meth:`detach_pending` drained the wire for this batch.
+        would have used.  Only valid when :meth:`batch_blocker` is ``None``
+        and :meth:`detach_pending` drained the wire for this train.
         """
         start = start_ps if start_ps > self.busy_until_ps else self.busy_until_ps
         ser = self._ser_cache.get(frame_size)

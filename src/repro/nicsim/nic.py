@@ -19,10 +19,10 @@ the rest of the paper exploits:
 
 Hot-path notes (docs/PERFORMANCE.md): the per-frame classes carry
 ``__slots__``, frames come from a :class:`FramePool`, effective frame
-times are cached per (size, speed), and steady-state CBR segments can be
-fast-forwarded arithmetically when ``NicPort.fast_forward`` is enabled
-(off by default; see :meth:`NicPort._fast_forward` for the fidelity
-conditions that force the event-by-event path).
+times are cached per (size, speed), and homogeneous event trains run
+arithmetically when the loop carries a batch tier (``loop.batch``, off by
+default; :mod:`repro.batch.detector` lists the fidelity conditions that
+force the event-by-event path).
 """
 
 from __future__ import annotations
@@ -572,9 +572,9 @@ class NicPort:
         "timestamp_missed", "rx_filter", "tx_packets", "tx_bytes",
         "rx_packets", "rx_bytes", "rx_crc_errors", "rx_missed", "_mac_busy",
         "_mac_wakeup", "_rr_next", "_fifo", "_fifo_bytes", "_prefetching",
-        "_in_enqueue", "_enqueue_short", "tx_observers", "fast_forward",
-        "fast_forwarded", "link_up", "link_changes", "link_signal",
-        "dma_slowdown", "_batch_sink", "dataplane",
+        "_in_enqueue", "_enqueue_short", "tx_observers", "link_up",
+        "link_changes", "link_signal", "dma_slowdown", "_batch_sink",
+        "dataplane",
     )
 
     def __init__(
@@ -648,10 +648,6 @@ class NicPort:
         #: Observers called with (frame, tx_start_ps) for every sent frame;
         #: benches use this to record exact departure times.
         self.tx_observers: List[Callable[[SimFrame, int], None]] = []
-        #: Opt-in steady-state accelerator (see :meth:`_fast_forward`).
-        self.fast_forward = False
-        #: Frames sent through the fast-forward path (observability).
-        self.fast_forwarded = 0
         # Fault injection (``repro.faults``): link/carrier state as software
         # sees it (the LSC interrupt's view), and a DMA-slowdown factor that
         # stretches the per-frame MAC occupancy (PCIe contention model).
@@ -949,39 +945,15 @@ class NicPort:
             else:
                 queue._advance_rate_limiter(now, frame)
         end_ps = now + mac_time
-        if self.fast_forward and (
+        # The batch tier (``repro.batch``), when the loop carries one, may
+        # run the pending work as an arithmetic train; it returns the
+        # MAC-free time past every batched frame, or ``end_ps`` unchanged.
+        tier = loop.batch
+        if tier is not None and (
             self._fifo or (queue is not None and queue.ring)
         ):
-            end_ps = self._fast_forward(end_ps)
+            end_ps = tier.execute(self, end_ps)
         loop.schedule_at(end_ps, self._mac_done)
-
-    def _fast_forward(self, start_ps: int) -> int:
-        """Route the MAC's pending work through the batch execution tier.
-
-        Opt-in via :attr:`fast_forward`.  The tier (``repro.batch``)
-        detects homogeneous event trains — FIFO drains, single-queue
-        prefetch steady states, hardware-paced ring trains — and executes
-        them arithmetically, skipping the per-frame ``_mac_done`` + wire
-        delivery events while producing bit-identical state: each frame is
-        delivered through the sink port's real ``receive`` with the exact
-        arrival stamp the event path would have used.  Detection rules and
-        fallback reasons live in :mod:`repro.batch.detector`; the
-        equivalence claim is enforced by ``tests/test_batch_equivalence.py``
-        and cross-validated in
-        ``benchmarks/bench_validation_event_vs_vectorized.py``.
-
-        The tier is shared per event loop (``loop.batch``); a port driven
-        outside :class:`~repro.core.MoonGenEnv` lazily installs one.
-        Returns the MAC-free time: advanced past every batched frame, or
-        ``start_ps`` unchanged when the tier fell back.
-        """
-        loop = self.loop
-        tier = loop.batch
-        if tier is None:
-            from repro.batch import BatchTier
-
-            tier = loop.batch = BatchTier()
-        return tier.execute(self, start_ps)
 
     def batch_ready_rx(self) -> bool:
         """True when a batch may deliver into this port synchronously.

@@ -83,3 +83,22 @@ def forwarder_oracle(arrivals_ns, pkt_size: int, service_ns: float,
         done_times.append(dep)
         accepted += 1
     return departures, dropped, moderator
+
+
+def plan_drain_oracle(fifo, card, speed: int, end_ps: int, bound: int,
+                      latency: int) -> int:
+    """How many leading FIFO frames a batch-tier drain sends before a
+    finite ``bound``: frame after frame, the MAC time accumulates from
+    ``end_ps``, and a frame is sent iff its arrival (MAC end + cable
+    ``latency``) lands strictly before the bound.  A frame carrying a
+    ``timestamp`` request ends the plan."""
+    t = end_ps
+    count = 0
+    for frame, _queue in fifo:
+        if frame.meta.get("timestamp"):
+            break
+        t += card.effective_frame_time_ps(frame, speed)
+        if t + latency >= bound:
+            break
+        count += 1
+    return count

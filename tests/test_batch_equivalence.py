@@ -6,9 +6,10 @@ loop would have produced.  This module is the harness that makes the
 claim falsifiable.  :func:`assert_batch_equivalent` runs one scenario
 twice — ``batch=False`` then ``batch=True`` — and deep-diffs everything
 observable: result dicts, per-device and per-queue counters, DuT
-counters, metrics fingerprints (``loop.*`` excluded — scheduler
-self-accounting legitimately changes), and golden traces.  Any mismatch
-fails with a per-key diff rather than a bare ``assert a == b``.
+counters, metrics fingerprints (which leave out ``loop.*``, the
+scheduler's and the tier's self-accounting — it legitimately changes),
+and golden traces.  Any mismatch fails with a per-key diff rather than a
+bare ``assert a == b``.
 
 Scenarios cover every kernel and every fallback family:
 
@@ -19,14 +20,13 @@ Scenarios cover every kernel and every fallback family:
 * an RFC 2544 throughput search with an event-driven loss probe,
 * every builtin fault plan, with fingerprints, via ``run_plan``,
 * two independent port->sink pipelines (the cross-chain bound
-  extension: trains must stay long despite a foreign chain's events),
-* the scalar (no-numpy) plan path, via a monkeypatched ``_vec._np``.
+  extension: trains must stay long despite a foreign chain's events).
 
 The Hypothesis section generalizes the fixed scenarios: randomized frame
-sizes, rates, send batches, tier horizons, per-hop cable latencies,
-descriptor ring sizes (including batches larger than the whole ring),
-and fault plans must never diverge, and a fault window overlapping the
-traffic must both force fallbacks and still match.
+sizes, rates, send batches, foreign timers that bound trains, per-hop
+cable latencies, descriptor ring sizes (including batches larger than
+the whole ring), and fault plans must never diverge, and a fault window
+overlapping the traffic must both force fallbacks and still match.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import MoonGenEnv, PoissonPattern, UniformBurstPattern
 from repro._optional import np as _installed_np
-from repro.batch import FALLBACK_REASONS, BatchTier, _vec
+from repro.batch import FALLBACK_REASONS
 from repro.nicsim.link import Cable, Medium
 from repro.core.latency import LoadLatencyExperiment
 from repro.core.ratecontrol import GapFiller
@@ -143,8 +143,7 @@ def _quickstart_scenario(batch: bool):
         "tx": _device_counters(tx),
         "rx": _device_counters(rx),
         "now_ps": env.loop.now_ps,
-        "metrics_fingerprint": snap.series.fingerprint(
-            exclude_prefixes=("loop.", "batch.")),
+        "metrics_fingerprint": snap.series.fingerprint(),
     }
     return obs, env
 
@@ -334,8 +333,7 @@ def _dataplane_quickstart(batch: bool):
         "tx": _device_counters(tx),
         "rx": _device_counters(rx),
         "now_ps": env.loop.now_ps,
-        "metrics_fingerprint": snap.series.fingerprint(
-            exclude_prefixes=("loop.", "batch.")),
+        "metrics_fingerprint": snap.series.fingerprint(),
     }
     obs.update(_dataplane_obs(env))
     return obs, env
@@ -575,7 +573,9 @@ class TestFixedScenarios:
         trace_plain, _ = run(False)
         trace_batch, env = run(True)
         assert trace_plain == trace_batch
-        assert env.batch.stats()["fallbacks"].get("tracer", 0) > 0
+        stats = env.batch.stats()
+        assert stats["fallbacks"].get("tracer", 0) > 0
+        assert stats["frames"] == 0  # the tracer gate wins every kick
 
 
 class TestRfc2544Equivalence:
@@ -647,15 +647,22 @@ class TestFaultPlanEquivalence:
 # property tests: randomized scenarios never diverge
 
 
-def _run_tx(batch_tier, send_batch: int, frame_size: int,
-            duration_ns: int, rate_pps: float = None):
-    env = MoonGenEnv(seed=17, batch=batch_tier)
+def _run_tx(batch: bool, send_batch: int, frame_size: int,
+            duration_ns: int, rate_pps: float = None, tick_ns: int = None):
+    env = MoonGenEnv(seed=17, batch=batch)
     tx = env.config_device(0, tx_queues=1)
     rx = env.config_device(1, rx_queues=1)
     env.connect(tx, rx)
     queue = tx.get_tx_queue(0)
     if rate_pps:
         queue.set_rate_pps(rate_pps, frame_size + 4)
+    if tick_ns:
+        # A no-op timer: its wakeups are live events no train may cross.
+        def ticker():
+            while env.running():
+                yield tick_ns * 1000
+
+        env.loop.spawn(ticker(), name="ticker")
 
     def slave(env, queue):
         mem = env.create_mempool(
@@ -680,21 +687,19 @@ class TestRandomizedEquivalence:
     @given(send_batch=st.integers(min_value=1, max_value=64),
            frame_size=st.sampled_from([60, 124, 508, 1514]),
            duration_ns=st.integers(min_value=50_000, max_value=400_000),
-           horizon_us=st.sampled_from([None, 10, 100, 1000]),
+           tick_ns=st.one_of(st.none(),
+                             st.integers(min_value=300, max_value=100_000)),
            rate_mpps=st.sampled_from([None, 0.5, 2.0]))
     def test_tx_runs_never_diverge(self, send_batch, frame_size,
-                                   duration_ns, horizon_us, rate_mpps):
-        """Arbitrary frame sizes, send batches, tier horizons, and rate
-        control never produce a divergent run."""
+                                   duration_ns, tick_ns, rate_mpps):
+        """Arbitrary frame sizes, send batches, rate control, and a
+        foreign timer cutting trains at its wakeups never produce a
+        divergent run."""
         rate = rate_mpps * 1e6 if rate_mpps else None
 
         def scenario(batch: bool):
-            tier = None
-            if batch:
-                tier = (BatchTier() if horizon_us is None
-                        else BatchTier(horizon_ns=horizon_us * 1000.0))
-            return _run_tx(tier, send_batch, frame_size, duration_ns,
-                           rate_pps=rate)
+            return _run_tx(batch, send_batch, frame_size, duration_ns,
+                           rate_pps=rate, tick_ns=tick_ns)
 
         assert_batch_equivalent(scenario, expect_batched=False)
 
@@ -780,50 +785,6 @@ class TestRandomizedEquivalence:
                            batch=True)
         diff = _dict_diff(plain, batched)
         assert not diff, "\n  ".join(diff)
-
-
-class TestPurePythonMode:
-    """The numpy-free leg, without uninstalling numpy.
-
-    ``repro.batch._vec`` binds ``_np`` once at import; setting it to
-    ``None`` is exactly the state the no-numpy CI job (and a machine
-    without numpy) runs in — every kernel must fall back to the scalar
-    plan path with bit-identical results.
-    """
-
-    def test_equivalence_holds_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(_vec, "_np", None)
-        assert not _vec.has_numpy()
-        stats = assert_batch_equivalent(_quickstart_scenario)
-        assert stats["trains"] > 0
-
-    def test_golden_run_matches_without_numpy(self, monkeypatch):
-        """The committed golden batch run must not depend on which plan
-        path computed it."""
-        monkeypatch.setattr(_vec, "_np", None)
-        golden = json.loads(GOLDEN_BATCH.read_text())
-        current = json.loads(json.dumps(_golden_batch_observations()))
-        diff = _dict_diff(golden, current)
-        assert not diff, (
-            "pure-python batch run drifted from the committed golden:\n  "
-            + "\n  ".join(diff))
-
-    @pytest.mark.skipif(not _vec.has_numpy(), reason="numpy unavailable")
-    @settings(**SETTINGS)
-    @given(macs=st.lists(st.integers(min_value=1, max_value=100_000),
-                         max_size=300),
-           headroom=st.integers(min_value=0, max_value=2_000_000))
-    def test_plan_limit_modes_agree(self, macs, headroom):
-        """``plan_limit`` gives the same answer through cumsum+bisect and
-        the scalar scan for arbitrary inputs."""
-        vectorized = _vec.plan_limit(macs, headroom)
-        saved = _vec._np
-        _vec._np = None
-        try:
-            scalar = _vec.plan_limit(macs, headroom)
-        finally:
-            _vec._np = saved
-        assert vectorized == scalar
 
 
 if __name__ == "__main__":

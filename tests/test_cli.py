@@ -110,6 +110,21 @@ class TestCommands:
         assert code == 0
         assert "cores" in out and "jobs=2" in out
 
+    def test_metrics_manifest_fingerprint_ignores_batch(self, tmp_path):
+        """The manifest hashes the simulated series, not the scheduler's
+        self-accounting, so ``--batch`` leaves it unchanged."""
+        from repro.metrics import load_manifest, manifest_path_for
+
+        prints = []
+        for extra in ([], ["--batch"]):
+            out = str(tmp_path / f"run{len(prints)}.jsonl")
+            code, _ = run_cli(["quickstart", "--seed", "3", "--duration-ms",
+                               "0.5", "--metrics", out] + extra)
+            assert code == 0
+            manifest = load_manifest(manifest_path_for(out))
+            prints.append(manifest["result_fingerprint"])
+        assert prints[0] == prints[1]
+
     def test_timestamps(self):
         code, out = run_cli(["timestamps", "--probes", "50"])
         assert code == 0

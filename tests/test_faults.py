@@ -224,19 +224,19 @@ class TestWireDrawOrder:
         got, wire = _wire_run(loss_model=ge, n=300)
         assert len(got) + wire.dropped == wire.frames_sent == 300
 
-    def test_faulted_wire_refuses_fast_forward(self):
+    def test_faulted_wire_refuses_batch(self):
         loop = EventLoop()
         wire = Wire(loop, units.SPEED_10G)
         wire.connect(lambda f, t: None)
-        assert wire.can_fast_forward()
+        assert wire.batch_blocker() is None
         wire.faulted = True
-        assert not wire.can_fast_forward()
+        assert wire.batch_blocker() == "wire-faulted"
         wire.faulted = False
         wire.carrier_up = False
-        assert not wire.can_fast_forward()
+        assert wire.batch_blocker() == "wire-carrier-down"
         wire.carrier_up = True
         wire.loss_model = lambda size: False
-        assert not wire.can_fast_forward()
+        assert wire.batch_blocker() == "wire-loss-model"
 
 
 def _chaos(faults, plan_seed=0, duration_ns=3e6, **kwargs):

@@ -1,8 +1,9 @@
-"""Differential properties: the offline planner and DuT fastpath kernels
-against the reference per-element loops in ``_offline_oracles.py``.
+"""Differential properties: the offline planner and DuT fastpath kernels,
+and the batch tier's drain planner, against the reference per-element
+loops in ``_offline_oracles.py``.
 
-Both kernels run on plain Python floats; the oracles run the original
-loops on numpy scalars.  Every output must be bit-identical.
+The offline kernels run on plain Python floats; the oracles run the
+original loops on numpy scalars.  Every output must be bit-identical.
 """
 
 import itertools
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import units
 from repro.analysis.precision import cbr_filler_schedule
+from repro.batch.kernels import _plan_drain
 from repro.core.ratecontrol import (
     CbrPattern,
     GapFiller,
@@ -21,8 +23,13 @@ from repro.core.ratecontrol import (
 )
 from repro.dut.fastpath import simulate_forwarder
 from repro.dut.interrupts import ItrConfig
+from repro.nicsim.nic import CHIP_X540, CHIP_XL710, NicCard, SimFrame
 from tests._hypothesis_profiles import property_settings
-from tests._offline_oracles import forwarder_oracle, plan_oracle
+from tests._offline_oracles import (
+    forwarder_oracle,
+    plan_drain_oracle,
+    plan_oracle,
+)
 
 SETTINGS = property_settings()
 
@@ -207,3 +214,51 @@ def test_rfc2544_probe_points_match_oracle(frame_size):
             arrivals, frame_size, 526.0, 4096, ItrConfig(), 15_000.0)
         assert result.departures_ns.tobytes() == departures.tobytes()
         assert result.dropped == dropped
+
+
+@st.composite
+def drain_fifos(draw):
+    """A staged MAC FIFO: runs of equal frame sizes (the uniform prefix
+    the planner closes over), some frames marked for a timestamp."""
+    runs = draw(st.lists(st.tuples(st.integers(60, 1514),
+                                   st.integers(1, 12)),
+                         min_size=1, max_size=8))
+    frames = [SimFrame(bytes(size)) for size, count in runs
+              for _ in range(count)]
+    for i in draw(st.lists(st.integers(0, len(frames) - 1), max_size=3)):
+        frames[i].meta["timestamp"] = True
+    return [(frame, None) for frame in frames]
+
+
+class TestDrainPlanMatchesOracle:
+    @settings(**SETTINGS)
+    @given(drain_fifos(), st.sampled_from([CHIP_X540, CHIP_XL710]),
+           SPEEDS, st.integers(0, 10**9),
+           st.sampled_from([0, 49_300, 2_147_200]), st.data())
+    def test_mixed_size_fifos(self, fifo, chip, speed, end_ps, latency,
+                              data):
+        card = NicCard(chip)
+        cums = list(itertools.accumulate(
+            card.effective_frame_time_ps(frame, speed) for frame, _ in fifo))
+        # Headrooms anywhere up to twice the total, and one below, at or
+        # above a cumulative MAC time (a frame that just fits or not).
+        headroom = data.draw(st.one_of(
+            st.integers(0, 2 * cums[-1]),
+            st.sampled_from(cums).flatmap(
+                lambda c: st.sampled_from([c - 1, c, c + 1]))))
+        bound = end_ps + latency + headroom + 1
+        assert _plan_drain(fifo, card, speed, end_ps, bound, latency) == \
+            plan_drain_oracle(fifo, card, speed, end_ps, bound, latency)
+
+    def test_smaller_frame_fits_after_uniform_prefix(self):
+        """The closed form cuts the uniform prefix at ``headroom // mac``;
+        a smaller frame after it can still fit in the remainder."""
+        card = NicCard(CHIP_X540)
+        fifo = [(SimFrame(bytes(1514)), None)] * 2 \
+            + [(SimFrame(bytes(60)), None)] * 3
+        big, small = (card.effective_frame_time_ps(fifo[i][0],
+                                                   units.SPEED_10G)
+                      for i in (0, 2))
+        bound = 2 * big + small + 1
+        args = (fifo, card, units.SPEED_10G, 0, bound, 0)
+        assert _plan_drain(*args) == plan_drain_oracle(*args) == 3

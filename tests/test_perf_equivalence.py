@@ -9,20 +9,15 @@ randomized inputs:
   arbitrary mixes of zero-delay bursts, timers, and cancellations;
 * :class:`FramePool` recycling is invisible: a recycled shell is
   byte-identical to a freshly constructed :class:`SimFrame` (payload,
-  sizes, flags, fresh meta dict, fresh seq);
-* a traced transmit run produces byte-identical golden traces whether
-  ``fast_forward`` is requested or not (the tracer gate must win);
-* the steady-state fast-forward accelerator reproduces the event-driven
-  final counters exactly across randomized batch sizes, frame sizes and
-  durations.
+  sizes, flags, fresh meta dict, fresh seq).
+
+The batch tier's equivalence lives in ``tests/test_batch_equivalence.py``.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro import MoonGenEnv
 from repro.nicsim.eventloop import EventLoop
 from repro.nicsim.nic import FramePool, SimFrame
-from repro.trace import Tracer
 from tests._hypothesis_profiles import property_settings
 
 SETTINGS = property_settings()
@@ -149,53 +144,3 @@ class TestFramePoolEquivalence:
             seqs.add(frame.seq)
             pool.release(frame)
         assert pool.recycled == max(0, n - 1)
-
-
-# ---------------------------------------------------------------------------
-# fast-forward: traced runs and final counters
-
-
-def _run_tx(fast_forward, batch, frame_size, duration_ns, trace=False):
-    tracer = Tracer() if trace else None
-    env = MoonGenEnv(seed=11, fast_forward=fast_forward,
-                     trace=tracer)
-    tx = env.config_device(0, tx_queues=1)
-    rx = env.config_device(1, rx_queues=1)
-    env.connect(tx, rx)
-
-    def slave(env, queue):
-        mem = env.create_mempool(
-            fill=lambda b: b.udp_packet.fill(pkt_length=frame_size))
-        bufs = mem.buf_array(batch)
-        while env.running():
-            bufs.alloc(frame_size)
-            yield queue.send(bufs)
-
-    env.launch(slave, env, tx.get_tx_queue(0))
-    env.wait_for_slaves(duration_ns=duration_ns)
-    counters = (tx.tx_packets, tx.tx_bytes, rx.rx_packets, rx.rx_bytes,
-                env.loop.now_ps)
-    return counters, tx.port.fast_forwarded, (
-        tracer.to_jsonl() if trace else None)
-
-
-class TestFastForwardEquivalence:
-    @settings(**property_settings(10))
-    @given(st.integers(min_value=1, max_value=64),
-           st.sampled_from([60, 124, 508, 1514]),
-           st.integers(min_value=50_000, max_value=400_000))
-    def test_final_counters_identical(self, batch, frame_size, duration_ns):
-        plain, plain_ff, _ = _run_tx(False, batch, frame_size, duration_ns)
-        fast, _, _ = _run_tx(True, batch, frame_size, duration_ns)
-        assert plain_ff == 0
-        assert fast == plain
-
-    @settings(**property_settings(5))
-    @given(st.integers(min_value=1, max_value=63))
-    def test_traced_runs_ignore_fast_forward(self, batch):
-        """The tracer gate wins: golden traces are byte-identical whether
-        the accelerator was requested or not."""
-        _, ff_a, trace_a = _run_tx(False, batch, 60, 100_000, trace=True)
-        _, ff_b, trace_b = _run_tx(True, batch, 60, 100_000, trace=True)
-        assert ff_a == ff_b == 0  # tracer forces per-frame fidelity
-        assert trace_a == trace_b
