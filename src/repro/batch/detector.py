@@ -46,14 +46,13 @@ event path consults per frame:
   multi-queue port requires every unpaced ring to be empty;
 * frames carrying a ``timestamp`` request end the train (the latch
   registers are order- and instant-sensitive);
-* a kick running synchronously inside an *undeclared* producer's partial
-  ``enqueue`` falls back (``producer-mid-call``): the caller still holds
-  unsent frames and reacts to the post-kick ring state at this instant,
-  which a train would have drained further than the event path;
-* with an empty heap (no bound), only a kick *outside* any producer's
-  enqueue — a pure drain — or one whose producer declared a
-  :class:`PendingSend` is intrinsically bounded by the staged work; an
-  undeclared mid-enqueue kick stays ``unbounded`` and refuses.
+* a kick running synchronously inside the ``enqueue`` of a producer no
+  :class:`PendingSend` models falls back (``producer-mid-call``, or
+  ``unbounded`` when the heap is empty): the producer's continuation is
+  not scheduled yet, so no live event bounds the instant it next reads
+  the port, and a train would drain the ring under it.  Only a kick
+  *outside* any enqueue — a pure drain — or one whose producer declared a
+  :class:`PendingSend` may batch.
 """
 
 from __future__ import annotations
@@ -89,11 +88,10 @@ FALLBACK_REASONS: Tuple[str, ...] = (
     "queue-stalled",        # fault: the only active queue is stalled
     "space-signal",         # the very next descriptor fetch would wake a
                             # parked producer that no PendingSend models
-    "producer-mid-call",    # kick inside an undeclared producer's partial
-                            # enqueue: its continuation reads the ring now
-    "unbounded",            # empty heap and the kick runs inside an
-                            # undeclared producer's enqueue — nothing
-                            # bounds the train, intrinsically or otherwise
+    "producer-mid-call",    # kick inside an undeclared producer's
+                            # enqueue: its continuation, not scheduled
+                            # yet, reads the port before any bound
+    "unbounded",            # the same, with an empty heap
     "horizon",              # train detected, but no frame fits before the
                             # bound (accounted by the tier, not here)
 )
@@ -442,29 +440,24 @@ def detect_train(port: NicPort, start_ps: int) -> Union[Train, str]:
     # (their delivery events stay real); the kernel owns only the prefix.
     entries = wire.detach_pending()
     bound = loop.batch_bound_ps()
-    if bound is None and port._in_enqueue and (pend is None or pend.parked):
-        # Empty heap, and this kick is running synchronously inside an
-        # undeclared producer's ``enqueue`` — the producer is mid-call,
-        # its continuation event not yet scheduled — so an "unbounded"
-        # train would drain the ring before the producer ever feels
-        # queue-full backpressure, changing its park/resume instants.  A
-        # declared send (``pend``) or a kick outside any enqueue (a pure
-        # drain: link-up, fault-clear, ``_mac_done``) is intrinsically
-        # bounded by the staged work.
+    if port._in_enqueue and (pend is None or pend.parked):
+        # This kick runs synchronously inside the ``enqueue`` of a producer
+        # no ``PendingSend`` models.  Its continuation is arbitrary code
+        # whose next event is not scheduled yet, so no bound covers the
+        # instant it next reads the port: a train would drain the ring
+        # under it and change what it observes (counters, free slots,
+        # its park/resume instants).  With an empty heap the refusal
+        # reads ``unbounded``.  A declared send (``pend``) or a kick
+        # outside any enqueue (a pure drain: link-up, fault-clear,
+        # ``_mac_done``) is bounded by live events or by the staged work.
         wire.reattach_pending(entries)
-        return "unbounded"
+        return "unbounded" if bound is None else "producer-mid-call"
     if bound is not None:
         # Cross-chain extension: push the bound past provably independent
         # foreign TX chains' per-frame events (the multi-pipeline case
         # where two disjoint port->sink flows otherwise strangle each
-        # other's trains to single frames).  The unbounded refusal above
-        # was applied against the *plain* bound on purpose: an extension
-        # to "no bound at all" must not resurrect a refused kick, so an
-        # undeclared mid-enqueue producer keeps the plain bound instead.
-        extended = _chain_bound(loop, port, sink_port, bound)
-        if extended is not None or not (
-                port._in_enqueue and (pend is None or pend.parked)):
-            bound = extended
+        # other's trains to single frames).
+        bound = _chain_bound(loop, port, sink_port, bound)
     if bound is not None and bound <= start_ps:
         # The next live event lands before the in-flight frame's MAC even
         # ends: no frame can serialize before the bound, so skip the
