@@ -30,13 +30,13 @@ batch tier on or off.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from typing import Any, Dict, Iterator, List, Sequence
 
 from repro import units
 from repro.core.ratecontrol import GapFiller, idle_byte_counts
 from repro.errors import ConfigurationError
+from repro.metrics.manifest import short_hash
 from repro.metrics.registry import Log2Histogram, MetricsRegistry
 from repro.metrics.snapshot import canonical_json
 
@@ -94,14 +94,13 @@ def run_method(
         raise ConfigurationError(
             f"unknown rate-control method {method!r}; "
             f"expected one of {METHODS}")
-    from repro import MoonGenEnv
+    from repro.testbed import loadgen_pair
 
     pps = rate_mpps * 1e6
     gap_ns = units.NS_PER_S / pps
-    env = MoonGenEnv(seed=seed, metrics=True, dataplane=True, batch=batch)
-    tx = env.config_device(0, tx_queues=1)
-    rx = env.config_device(1, rx_queues=1)
-    env.connect(tx, rx)
+    pair = loadgen_pair(seed, tx_queues=1, metrics=True, dataplane=True,
+                        batch=batch)
+    env, tx, rx = pair.env, pair.tx_dev, pair.rx_dev
     queue = tx.get_tx_queue(0)
     src, dst = str(tx.mac), str(rx.mac)
     payload = frame_size - units.FCS_SIZE
@@ -171,9 +170,7 @@ def run_method(
         "histogram": state,
         "percentiles": env.dataplane.percentiles(name, PERCENTILES),
         "mean_ns": (hist.sum / hist.total) if hist.total else 0.0,
-        "fingerprint": hashlib.blake2b(
-            canonical_json(state).encode("utf-8"),
-            digest_size=8).hexdigest(),
+        "fingerprint": short_hash(canonical_json(state)),
     }
 
 

@@ -12,10 +12,10 @@ tracer, an in-flight frame straddling the bound) it falls back to
 event-by-event execution and accounts the reason.
 
 Enable it with ``MoonGenEnv(batch=True)``, or ``--batch`` on the CLI.
-Bit-identical output is the house invariant:
-``tests/test_batch_equivalence.py`` runs every wired scenario twice
-(batch on/off) and diffs result dicts, device counters, metrics
-fingerprints, and golden traces.
+Bit-identical output is the house invariant: ``tests/test_equivalence.py``
+runs every scenario in :mod:`repro.scenarios` with the tier on and off,
+observers on and off, and diffs result dicts, device, wire and DuT
+counters, and metrics and latency fingerprints.
 
 The tier's own statistics are scheduler self-accounting — they describe
 the batching machinery's work, not the simulated world.  With a metrics

@@ -54,23 +54,11 @@ def _atomic_out(path: str, newline: str = "\n"):
         raise
 
 
-def _resolve_faults_value(faults, seed: int):
-    """Turn a ``--faults`` string into something ``MoonGenEnv`` accepts.
-
-    Builtin plan names (``moongen-repro faults --list``) win, seeded with
-    the command's ``--seed``; anything else passes through to
-    :func:`repro.faults.load_plan` (a plan.json path or inline JSON).
-    """
-    if not faults:
-        return None
-    from repro.faults import builtin_plans
-
-    plans = builtin_plans(seed=seed)
-    return plans.get(faults, faults)
-
-
 def _resolve_faults(args: argparse.Namespace):
-    return _resolve_faults_value(args.faults, args.seed)
+    """The ``--faults`` plan, builtin names seeded with ``--seed``."""
+    from repro.scenarios import resolve_plan
+
+    return resolve_plan(args.faults, args.seed)
 
 
 def _warn_unmatched_faults(env) -> None:
@@ -113,78 +101,13 @@ def _write_metrics(snapshotter, out: str, command: str, seed: int,
           f"(fingerprint {fingerprint}, manifest {manifest_path})")
 
 
-def _build_quickstart(seed: int, faults=None, metrics=False, batch=False,
-                      dataplane=False):
-    """The quickstart topology: one CBR slave saturating a 10 GbE link."""
-    from repro import MoonGenEnv
-
-    env = MoonGenEnv(seed=seed, faults=faults, metrics=metrics, batch=batch,
-                     dataplane=dataplane)
-    tx = env.config_device(0, tx_queues=1)
-    rx = env.config_device(1, rx_queues=1)
-    env.connect(tx, rx)
-
-    def slave(env, queue):
-        mem = env.create_mempool(fill=lambda b: b.udp_packet.fill(
-            pkt_length=60, eth_dst=str(rx.mac)))
-        bufs = mem.buf_array()
-        while env.running():
-            bufs.alloc(60)
-            bufs.charge_random_fields(1)
-            yield queue.send(bufs)
-
-    env.launch(slave, env, tx.get_tx_queue(0))
-    return env, tx, rx
-
-
-def _build_dut_forward(seed: int, faults=None, metrics=False,
-                       rate_pps: float = 1.5e6, frame_size: int = 64,
-                       dataplane=False):
-    """CBR traffic through the simulated OvS DuT (load-latency shape)."""
-    from repro import MoonGenEnv
-    from repro.dut import OvsForwarder
-
-    env = MoonGenEnv(seed=seed, cost_noise=False, faults=faults,
-                     metrics=metrics, dataplane=dataplane)
-    tx = env.config_device(0, tx_queues=2)
-    rx = env.config_device(1, rx_queues=1)
-    dut = OvsForwarder(env.loop)
-    env.connect_to_sink(tx, dut.ingress)
-    dut.connect_output(env.wire_to_device(rx))
-    env.register_dut(dut)
-
-    load_queue = tx.get_tx_queue(0)
-    load_queue.set_rate_pps(rate_pps, frame_size)
-
-    def tx_task():
-        mem = env.create_mempool()
-        bufs = mem.buf_array(32)
-        dst = str(rx.mac)
-        src = str(tx.mac)
-        while env.running():
-            bufs.alloc(frame_size - 4)  # buffers exclude the FCS
-            for buf in bufs:
-                buf.eth_packet.fill(eth_src=src, eth_dst=dst,
-                                    eth_type=0x0800)
-            yield load_queue.send(bufs)
-
-    def rx_task():
-        rx_queue = rx.get_rx_queue(0)
-        while env.running():
-            rx_queue.try_fetch(64)
-            yield env.sleep_us(10.0)
-
-    env.launch(tx_task)
-    env.launch(rx_task)
-    return env, tx, rx, dut
-
-
 def _cmd_quickstart(args: argparse.Namespace) -> int:
-    env, tx, rx = _build_quickstart(args.seed,
-                                    faults=_resolve_faults(args),
-                                    metrics=bool(args.metrics),
-                                    batch=args.batch,
-                                    dataplane=bool(args.metrics))
+    from repro.scenarios import quickstart
+
+    pair = quickstart(args.seed, faults=_resolve_faults(args),
+                      metrics=bool(args.metrics), batch=args.batch,
+                      dataplane=bool(args.metrics))
+    env, tx = pair.env, pair.tx_dev
     _warn_unmatched_faults(env)
     snapshotter = None
     if args.metrics:
@@ -204,69 +127,22 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_load_latency(seed: int, rate_mpps: float, mode: str,
-                        pattern_name: str, probes: int, faults=None,
-                        metrics=False, batch=False, dataplane=False):
-    """The load-latency experiment, built but not yet run.
-
-    Shared by :func:`_cmd_load_latency` and the ``--jobs`` worker
-    replicas (:func:`_load_latency_point`), so both run the exact same
-    topology and rate control.
-    """
-    from repro import MoonGenEnv, PoissonPattern
-    from repro.core.latency import LoadLatencyExperiment
-    from repro.dut import OvsForwarder
-
-    env = MoonGenEnv(seed=seed, faults=faults, metrics=metrics, batch=batch,
-                     dataplane=dataplane)
-    tx = env.config_device(0, tx_queues=2)
-    rx = env.config_device(1, rx_queues=1)
-    dut = OvsForwarder(env.loop)
-    env.connect_to_sink(tx, dut.ingress)
-    dut.connect_output(env.wire_to_device(rx))
-    env.register_dut(dut)
-
-    pps = rate_mpps * 1e6
-    pattern = (PoissonPattern(pps, seed=seed)
-               if pattern_name == "poisson" else None)
-    mode = mode if pattern is None else "crc"
-    experiment = LoadLatencyExperiment(
-        env, tx, rx, mode=mode, pattern=pattern,
-        n_probes=probes, probe_interval_ns=50_000.0,
-    )
-    return env, tx, rx, dut, experiment, pps
-
-
-def _load_latency_point(point, seed: int):
-    """Worker replica of the load-latency run (the ``--jobs`` cross-check).
-
-    Ignores the engine-derived per-point seed — the user's seed rides in
-    the point itself, so every replica (and the in-process run) is the
-    same simulation and must reproduce the same latency fingerprint.
-    """
-    env, tx, rx, dut, experiment, pps = _build_load_latency(
-        seed=point["seed"], rate_mpps=point["rate"], mode=point["mode"],
-        pattern_name=point["pattern"], probes=point["probes"],
-        faults=_resolve_faults_value(point["faults"], point["seed"]),
-        metrics=True, dataplane=True, batch=point["batch"])
-    experiment.run(pps, duration_ns=point["duration_ms"] * 1e6,
-                   dut_crc_counter=lambda: dut.rx_crc_errors)
-    return env.dataplane.fingerprint()
-
-
 def _cmd_load_latency(args: argparse.Namespace) -> int:
-    env, tx, rx, dut, experiment, pps = _build_load_latency(
-        seed=args.seed, rate_mpps=args.rate, mode=args.mode,
-        pattern_name=args.pattern, probes=args.probes,
+    from repro.scenarios import load_latency, load_latency_replica
+
+    top, experiment = load_latency(
+        args.seed, args.rate, args.mode, args.pattern, args.probes,
         faults=_resolve_faults(args), metrics=bool(args.metrics),
         batch=args.batch, dataplane=bool(args.metrics))
+    env, dut = top.env, top.dut
     _warn_unmatched_faults(env)
     snapshotter = None
     if args.metrics:
         snapshotter = env.start_snapshotter(_metrics_interval_ns(args))
 
     mode = experiment.mode
-    result = experiment.run(pps, duration_ns=args.duration_ms * 1e6,
+    result = experiment.run(args.rate * 1e6,
+                            duration_ns=args.duration_ms * 1e6,
                             dut_crc_counter=lambda: dut.rx_crc_errors)
     print(f"offered {args.rate:.2f} Mpps ({args.pattern} via {mode} rate control)")
     print(f"DuT forwarded {dut.forwarded} packets, dropped {dut.rx_dropped}, "
@@ -293,7 +169,7 @@ def _cmd_load_latency(args: argparse.Namespace) -> int:
                      "duration_ms": args.duration_ms, "batch": args.batch}
             replicas = run_parallel(
                 [dict(point, replica=i) for i in range(args.jobs)],
-                _load_latency_point, jobs=args.jobs)
+                load_latency_replica, jobs=args.jobs)
             bad = [fp for fp in replicas if fp != lat_fp]
             if bad:
                 print(f"latency fingerprint DIVERGED in worker replicas: "
@@ -437,16 +313,19 @@ def _report_outcome(report) -> int:
     return 3 if report.degraded else 0
 
 
+def _scenario_for(name: str):
+    """The builder behind ``metrics``/``profile``'s scenario choices."""
+    from repro.scenarios import SCENARIOS
+
+    return SCENARIOS["quickstart" if name == "quickstart" else "dut-forward"]
+
+
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.metrics import to_prometheus, write_csv
 
     faults = _resolve_faults(args)
-    if args.scenario == "quickstart":
-        env, tx, rx = _build_quickstart(args.seed, faults=faults,
-                                        metrics=True)
-    else:
-        env, tx, rx, _ = _build_dut_forward(args.seed, faults=faults,
-                                            metrics=True)
+    top = _scenario_for(args.scenario)(args.seed, faults=faults, metrics=True)
+    env, tx = top.env, top.tx_dev
     _warn_unmatched_faults(env)
     snapshotter = env.start_snapshotter(_metrics_interval_ns(args))
     env.wait_for_slaves(duration_ns=args.duration_ms * 1e6)
@@ -476,11 +355,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.metrics import profile_env
 
-    faults = _resolve_faults(args)
-    if args.scenario == "quickstart":
-        env, _, _ = _build_quickstart(args.seed, faults=faults)
-    else:
-        env, _, _, _ = _build_dut_forward(args.seed, faults=faults)
+    env = _scenario_for(args.scenario)(args.seed,
+                                       faults=_resolve_faults(args)).env
     _warn_unmatched_faults(env)
     report = profile_env(env, duration_ns=args.duration_ms * 1e6)
     print(report.format_table())
@@ -494,7 +370,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import builtin_plans
-    from repro.faults.runner import run_matrix
+    from repro.scenarios import run_matrix
 
     plans = builtin_plans()
     if args.list:
@@ -571,18 +447,20 @@ def _cmd_rfc2544(args: argparse.Namespace) -> int:
 
 
 def _cmd_timestamps(args: argparse.Namespace) -> int:
-    from repro import MoonGenEnv, Timestamper
+    from repro import Timestamper
     from repro.nicsim.link import COPPER_CAT5E, FIBER_OM3, Cable
     from repro.nicsim.nic import CHIP_82599, CHIP_X540
+    from repro.testbed import loadgen_pair
 
     setups = [("82599/fiber", CHIP_82599, FIBER_OM3),
               ("X540/copper", CHIP_X540, COPPER_CAT5E)]
     for name, chip, medium in setups:
-        env = MoonGenEnv(seed=args.seed)
-        a = env.config_device(0, tx_queues=1, rx_queues=1, chip=chip)
-        b = env.config_device(1, tx_queues=1, rx_queues=1, chip=chip)
-        env.connect(a, b, cable=Cable(medium, args.cable_length))
-        ts = Timestamper(env, a.get_tx_queue(0), b, seed=args.seed)
+        pair = loadgen_pair(args.seed, chip=chip,
+                            cable=Cable(medium, args.cable_length),
+                            tx_queues=1)
+        env = pair.env
+        ts = Timestamper(env, pair.tx_dev.get_tx_queue(0), pair.rx_dev,
+                         seed=args.seed)
         env.launch(ts.probe_task, args.probes, 10_000.0)
         env.wait_for_slaves(duration_ns=args.probes * 30_000.0)
         expected = medium.modulation_ns + medium.propagation_ns(args.cable_length)
@@ -593,8 +471,8 @@ def _cmd_timestamps(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.scenarios import run_trace
     from repro.trace import CATEGORIES
-    from repro.trace.scenarios import SCENARIOS, run_scenario
 
     categories = None
     if args.categories:
@@ -604,7 +482,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"unknown trace categories: {sorted(unknown)} "
                   f"(valid: {', '.join(CATEGORIES)})", file=sys.stderr)
             return 2
-    text = run_scenario(args.scenario, seed=args.seed, categories=categories)
+    text = run_trace(args.scenario, seed=args.seed, categories=categories)
     if args.out:
         with _atomic_out(args.out) as fh:
             fh.write(text)
@@ -624,16 +502,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_table(entry, points, values) -> str:
+    """Aligned two-column point/value table."""
+    from repro.supervise.policy import PoisonedPoint
+
+    rows = [(str(point),
+             f"poisoned: {value.error}" if isinstance(value, PoisonedPoint)
+             else entry["fmt"].format(value))
+            for point, value in zip(points, values)]
+    widths = [max(len(h), *(len(r[i]) for r in rows))
+              for i, h in enumerate(entry["headers"])]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(entry["headers"], widths))]
+    lines.append("-" * len(lines[0]))
+    lines.extend("  ".join(c.ljust(w) for c, w in zip(row, widths))
+                 for row in rows)
+    return "\n".join(lines)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.parallel.sweeps import SWEEPS, format_sweep_table
+    import time
+
+    from repro.parallel import default_jobs, run_parallel
+    from repro.scenarios import SWEEPS
 
     if not args.name:
         print("available sweeps:")
-        for spec in SWEEPS.values():
-            print(f"  {spec.name:<12} {spec.description}")
+        for name, entry in SWEEPS.items():
+            print(f"  {name:<12} {entry['description']}")
         return 0
-    spec = SWEEPS.get(args.name)
-    if spec is None:
+    entry = SWEEPS.get(args.name)
+    if entry is None:
         print(f"unknown sweep {args.name!r}; available: "
               f"{', '.join(sorted(SWEEPS))}", file=sys.stderr)
         return 2
@@ -652,13 +550,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if resilience is None:
         return 2
     journal, policy, report = resilience
-    progress = (_live_progress(f"sweep {spec.name}", report=report)
+    progress = (_live_progress(f"sweep {args.name}", report=report)
                 if args.live else None)
-    result = spec.build(points, root_seed=args.seed).run(
-        jobs=args.jobs, progress=progress, journal=journal,
-        supervise=policy, report=report)
-    print(f"sweep {spec.name}: {spec.description}")
-    print(format_sweep_table(spec, result))
+    points = points or entry["points"]
+    jobs = default_jobs() if args.jobs is None else max(1, args.jobs)
+    start = time.perf_counter()
+    values = run_parallel(points, entry["fn"], jobs=jobs, root_seed=args.seed,
+                          progress=progress, journal=journal,
+                          supervise=policy, report=report)
+    wall_s = time.perf_counter() - start
+    print(f"sweep {args.name}: {entry['description']}")
+    print(_sweep_table(entry, points, values))
+    print(f"({len(points)} points, jobs={jobs}, wall {wall_s:.2f} s)")
     return _report_outcome(report)
 
 
@@ -822,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a named parameter sweep through the parallel engine",
         description="Runs one of the registered paper sweeps "
-                    "(repro.parallel.sweeps) with per-point seeds derived "
+                    "(repro.scenarios) with per-point seeds derived "
                     "from --seed, fanned across --jobs worker processes, "
                     "and prints a point/value table.  Results are "
                     "bit-identical for any --jobs value.  Run without a "
@@ -844,12 +747,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "faults",
         help="run chaos scenarios under fault plans, print fingerprints",
-        description="Runs the canonical chaos scenario (repro.faults.runner) "
+        description="Runs the canonical chaos scenario (repro.scenarios) "
                     "under one or more fault plans — builtin names or paths "
                     "to plan.json files — and prints per-plan degradation "
                     "counters plus a deterministic fingerprint.  Results are "
-                    "bit-identical for any --jobs value; the CI fault-matrix "
-                    "job diffs the --json output of serial and sharded runs.",
+                    "bit-identical for any --jobs value.",
     )
     p.add_argument("--plan", action="append", dest="plans", metavar="NAME",
                    help="builtin plan name or path to a plan.json; "

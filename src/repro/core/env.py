@@ -45,7 +45,7 @@ class MoonGenEnv:
         #: observer/fault/timestamp needs per-frame fidelity, falling back
         #: to the event path at every interaction point.  Off by default;
         #: output is bit-identical to the event-driven path (enforced by
-        #: ``tests/test_batch_equivalence.py``).
+        #: ``tests/test_equivalence.py``).
         self.batch = None
         if batch:
             from repro.batch import BatchTier
@@ -55,6 +55,9 @@ class MoonGenEnv:
         self.cost_model = CycleCostModel(seed=seed, noisy=cost_noise)
         self.core_freq_hz = core_freq_hz
         self.devices: Dict[int, Device] = {}
+        #: Every wire built so far, by name (``"0->1"``, ``"0->sink"``,
+        #: ``"env->1"``): the names fault targets and metrics use.
+        self.wires: Dict[str, Wire] = {}
         self.tasks: List[Task] = []
         self.cores: List[CpuCore] = []
         self._end_ps: Optional[int] = None
@@ -272,21 +275,9 @@ class MoonGenEnv:
         wire_ba.connect(a.port.receive)
         a.port.attach_wire(wire_ab)
         b.port.attach_wire(wire_ba)
-        if self.injector is not None:
-            self.injector.register_wire(
-                f"wire:{a.port.port_id}->{b.port.port_id}", wire_ab)
-            self.injector.register_wire(
-                f"wire:{b.port.port_id}->{a.port.port_id}", wire_ba)
-        if self.metrics is not None:
-            wire_ab.register_metrics(
-                self.metrics, f"{a.port.port_id}->{b.port.port_id}")
-            wire_ba.register_metrics(
-                self.metrics, f"{b.port.port_id}->{a.port.port_id}")
-        if self.dataplane is not None:
-            self.dataplane.attach_wire(
-                wire_ab, f"{a.port.port_id}->{b.port.port_id}")
-            self.dataplane.attach_wire(
-                wire_ba, f"{b.port.port_id}->{a.port.port_id}")
+        a_id, b_id = a.port.port_id, b.port.port_id
+        self._register_wires((f"{a_id}->{b_id}", wire_ab),
+                             (f"{b_id}->{a_id}", wire_ba))
         return wire_ab, wire_ba
 
     def connect_to_sink(
@@ -299,14 +290,7 @@ class MoonGenEnv:
         wire = Wire(self.loop, device.port.speed_bps, cable, seed=self._next_wire_seed())
         wire.connect(sink)
         device.port.attach_wire(wire)
-        if self.injector is not None:
-            self.injector.register_wire(
-                f"wire:{device.port.port_id}->sink", wire)
-        if self.metrics is not None:
-            wire.register_metrics(self.metrics,
-                                  f"{device.port.port_id}->sink")
-        if self.dataplane is not None:
-            self.dataplane.attach_wire(wire, f"{device.port.port_id}->sink")
+        self._register_wires((f"{device.port.port_id}->sink", wire))
         return wire
 
     def wire_to_device(
@@ -323,14 +307,7 @@ class MoonGenEnv:
             seed=self._next_wire_seed(),
         )
         wire.connect(device.port.receive)
-        if self.injector is not None:
-            self.injector.register_wire(
-                f"wire:env->{device.port.port_id}", wire)
-        if self.metrics is not None:
-            wire.register_metrics(self.metrics,
-                                  f"env->{device.port.port_id}")
-        if self.dataplane is not None:
-            self.dataplane.attach_wire(wire, f"env->{device.port.port_id}")
+        self._register_wires((f"env->{device.port.port_id}", wire))
         return wire
 
     def register_dut(self, dut) -> None:
@@ -345,6 +322,25 @@ class MoonGenEnv:
             dut.register_metrics(self.metrics)
         if self.dataplane is not None and hasattr(dut, "dp_ring"):
             self.dataplane.attach_dut(dut)
+
+    def _register_wires(self, *named: Tuple[str, Wire]) -> None:
+        """Record new ``(name, wire)`` pairs and hand them to the observers.
+
+        Observer by observer, and wire by wire within each: the
+        injector's arming schedules events, and the metrics registry
+        (which the dataplane histograms share) hashes names in insertion
+        order, so this order is part of every fingerprint.
+        """
+        self.wires.update(named)
+        if self.injector is not None:
+            for name, wire in named:
+                self.injector.register_wire(f"wire:{name}", wire)
+        if self.metrics is not None:
+            for name, wire in named:
+                wire.register_metrics(self.metrics, name)
+        if self.dataplane is not None:
+            for name, wire in named:
+                self.dataplane.attach_wire(wire, name)
 
     def _next_wire_seed(self) -> int:
         self._wire_seed += 1

@@ -189,8 +189,8 @@ class OvsForwarder:
     def counters(self) -> dict:
         """Stable counter snapshot for differential comparisons.
 
-        ``tests/test_batch_equivalence.py`` diffs this dict between batch
-        and event runs of every DuT topology; anything order- or
+        ``tests/test_equivalence.py`` diffs this dict across the
+        execution modes of every DuT topology; anything order- or
         timing-sensitive the forwarder observes belongs here.
         """
         return {

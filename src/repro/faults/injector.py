@@ -15,7 +15,7 @@ stochastic faults draw from their own per-fault RNG stream seeded with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.models import GilbertElliott
@@ -62,8 +62,11 @@ class FaultInjector:
         self._dut = None
         #: Fault indices whose events are scheduled.
         self._armed: Set[int] = set()
-        #: Saved pre-fault state, per fault index (e.g. corrupt_rate).
-        self._saved: Dict[int, object] = {}
+        #: Open windows per faulted attribute, oldest first, as
+        #: ``(fault index, value)``; and each attribute's value from
+        #: before its first window opened.
+        self._open: Dict[Tuple, List[Tuple[int, Any]]] = {}
+        self._base: Dict[Tuple, Any] = {}
         #: Fault boundaries fired so far (observability / tests).
         self.injected = 0
         #: Currently open fault windows.
@@ -129,15 +132,11 @@ class FaultInjector:
                 return True
         return False
 
-    def _wires_touching(self, port_name: str) -> List[Wire]:
-        """Registered wires with the named port as either endpoint."""
+    def _wires_touching(self, port_name: str) -> List[Tuple[str, Wire]]:
+        """Registered ``(name, wire)`` with the named port as an endpoint."""
         port_id = port_name[len("port:"):]
-        out = []
-        for name, wire in self._wires.items():
-            a, b = _wire_endpoints(name)
-            if port_id in (a, b):
-                out.append(wire)
-        return out
+        return [(name, wire) for name, wire in self._wires.items()
+                if port_id in _wire_endpoints(name)]
 
     # -- scheduling --------------------------------------------------------
 
@@ -154,6 +153,40 @@ class FaultInjector:
     def _fault_seed(self, index: int, fault) -> int:
         return seed_for(self.plan.seed, (index, fault))
 
+    # -- overlapping windows -----------------------------------------------
+
+    def _open_window(self, key: Tuple, index: int, value, current):
+        """Open fault ``index``'s window on attribute ``key``; returns
+        the value the attribute takes (``value``: the newest window wins).
+
+        ``current`` is the attribute's value now; it is kept as the value
+        to restore only when no other window on ``key`` is open.
+        """
+        windows = self._open.setdefault(key, [])
+        if not windows:
+            self._base[key] = current
+        windows.append((index, value))
+        return value
+
+    def _close_window(self, key: Tuple, index: int):
+        """Close fault ``index``'s window on ``key``; returns the value
+        the attribute takes: the newest window still open, else its
+        value from before the first window."""
+        windows = self._open[key]
+        windows.remove(next(w for w in windows if w[0] == index))
+        if windows:
+            return windows[-1][1]
+        del self._open[key]
+        return self._base.pop(key)
+
+    def _flapping(self, port_id: str) -> bool:
+        return (f"port:{port_id}", "link_up") in self._open
+
+    def _carrier_up(self, wire_name: str) -> bool:
+        """A wire's carrier is down while either endpoint is flapping."""
+        a, b = _wire_endpoints(wire_name)
+        return not (self._flapping(a) or self._flapping(b))
+
     # -- wire faults -------------------------------------------------------
 
     def _arm_wire_fault(self, index: int, fault, wire: Wire) -> None:
@@ -165,31 +198,36 @@ class FaultInjector:
                 loss_good=fault.loss_good, loss_bad=fault.loss_bad,
             )
 
+            key = (fault.target, "loss_model")
+
             def start() -> None:
-                wire.loss_model = model
+                wire.loss_model = self._open_window(key, index, model,
+                                                    wire.loss_model)
                 self.injected += 1
                 self.active += 1
                 self._emit("burst_loss_start", index=index,
                            target=fault.target)
 
             def end() -> None:
-                wire.loss_model = None
+                wire.loss_model = self._close_window(key, index)
                 self.injected += 1
                 self.active -= 1
                 self._emit("burst_loss_end", index=index, target=fault.target,
                            offered=model.offered, lost=model.lost,
                            bursts=model.bursts)
         else:  # CorruptionBurst
+            key = (fault.target, "corrupt_rate")
+
             def start() -> None:
-                self._saved[index] = wire.corrupt_rate
-                wire.corrupt_rate = fault.rate
+                wire.corrupt_rate = self._open_window(key, index, fault.rate,
+                                                      wire.corrupt_rate)
                 self.injected += 1
                 self.active += 1
                 self._emit("corruption_start", index=index,
                            target=fault.target, rate=fault.rate)
 
             def end() -> None:
-                wire.corrupt_rate = self._saved.pop(index, 0.0)
+                wire.corrupt_rate = self._close_window(key, index)
                 self.injected += 1
                 self.active -= 1
                 self._emit("corruption_end", index=index, target=fault.target,
@@ -202,65 +240,77 @@ class FaultInjector:
     def _arm_port_fault(self, index: int, fault, port: NicPort) -> None:
         self._armed.add(index)
         if isinstance(fault, LinkFlap):
+            key = (fault.target, "link_up")
+
             def start() -> None:
                 # Wires are resolved at fire time: registration order
                 # between ports and wires must not matter.
-                for wire in self._wires_touching(fault.target):
+                for _, wire in self._wires_touching(fault.target):
                     wire.carrier_up = False
-                port.set_link_state(False)  # emits the link_down record
+                # Emits the link_down record (once, however many flaps).
+                port.set_link_state(
+                    self._open_window(key, index, False, port.link_up))
                 self.injected += 1
                 self.active += 1
 
             def end() -> None:
-                for wire in self._wires_touching(fault.target):
-                    wire.carrier_up = True
-                port.set_link_state(True)  # emits link_up + kicks the MAC
+                up = self._close_window(key, index)
+                for name, wire in self._wires_touching(fault.target):
+                    wire.carrier_up = self._carrier_up(name)
+                port.set_link_state(up)  # link_up kicks the MAC
                 self.injected += 1
                 self.active -= 1
         elif isinstance(fault, QueueStall):
             queue = self._tx_queue(port, fault.queue)
+            key = (fault.target, "stalled", fault.queue)
 
             def start() -> None:
-                queue.stalled = True
+                queue.stalled = self._open_window(key, index, True,
+                                                  queue.stalled)
                 self.injected += 1
                 self.active += 1
                 self._emit("queue_stall_start", index=index,
                            port=port.port_id, queue=fault.queue)
 
             def end() -> None:
-                queue.stalled = False
+                queue.stalled = self._close_window(key, index)
                 self.injected += 1
                 self.active -= 1
                 self._emit("queue_stall_end", index=index,
                            port=port.port_id, queue=fault.queue,
                            backlog=len(queue.ring))
-                port._mac_kick()
+                if not queue.stalled:
+                    port._mac_kick()
         elif isinstance(fault, DmaSlowdown):
+            key = (fault.target, "dma_slowdown")
+
             def start() -> None:
-                port.dma_slowdown = fault.factor
+                port.dma_slowdown = self._open_window(
+                    key, index, fault.factor, port.dma_slowdown)
                 self.injected += 1
                 self.active += 1
                 self._emit("dma_slowdown_start", index=index,
                            port=port.port_id, factor=fault.factor)
 
             def end() -> None:
-                port.dma_slowdown = 1.0
+                port.dma_slowdown = self._close_window(key, index)
                 self.injected += 1
                 self.active -= 1
                 self._emit("dma_slowdown_end", index=index,
                            port=port.port_id)
         elif isinstance(fault, RingFreeze):
             rxq = self._rx_queue(port, fault.queue)
+            key = (fault.target, "frozen", fault.queue)
 
             def start() -> None:
-                rxq.frozen = True
+                rxq.frozen = self._open_window(key, index, True, rxq.frozen)
                 self.injected += 1
                 self.active += 1
                 self._emit("ring_freeze_start", index=index,
                            port=port.port_id, queue=fault.queue)
 
             def end() -> None:
-                rxq.frozen = False
+                rxq.frozen = self._close_window(key, index)
                 self.injected += 1
                 self.active -= 1
                 self._emit("ring_freeze_end", index=index,
@@ -307,16 +357,18 @@ class FaultInjector:
 
     def _arm_dut_fault(self, index: int, fault: DutOverload, dut) -> None:
         self._armed.add(index)
+        key = ("dut", "overload")
 
         def start() -> None:
-            dut.set_overload(fault.factor)
+            dut.set_overload(self._open_window(key, index, fault.factor,
+                                               getattr(dut, "overload", 1.0)))
             self.injected += 1
             self.active += 1
             self._emit("dut_overload_start", index=index,
                        factor=fault.factor)
 
         def end() -> None:
-            dut.set_overload(1.0)
+            dut.set_overload(self._close_window(key, index))
             self.injected += 1
             self.active -= 1
             self._emit("dut_overload_end", index=index)

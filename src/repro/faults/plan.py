@@ -333,11 +333,11 @@ def load_plan(source: Any) -> FaultPlan:
 
 
 def builtin_plans(seed: int = 0) -> Dict[str, FaultPlan]:
-    """The small plan registry the CLI and the CI fault-matrix job run.
+    """The small plan registry the ``faults`` subcommand runs.
 
     All plans are phrased against the canonical chaos topology
-    (:func:`repro.faults.runner.run_plan`): port 0 transmits to port 1
-    over ``wire:0->1``.
+    (:func:`repro.scenarios.chaos`): port 0 transmits to port 1 over
+    ``wire:0->1``.  No two windows of a plan overlap on one target.
     """
     return {
         "flap": FaultPlan(faults=(

@@ -23,9 +23,8 @@ integer picosecond stamps, so the arithmetic — including the
 order-dependent float accumulation inside ``Log2Histogram.sum`` — is
 reproducible exactly.  The batch execution tier (``repro.batch``)
 performs the *same* per-frame observations in the same order, so
-histogram fingerprints are bit-identical event vs batch, serial vs
-``--jobs N``, heap vs calendar scheduler (``tests/test_batch_equivalence.py``
-enforces this).
+histogram fingerprints are bit-identical event vs batch and serial vs
+``--jobs N`` (``tests/test_equivalence.py`` enforces this).
 
 House rules kept:
 
@@ -46,9 +45,9 @@ snapshots, fingerprints, and all exporters pick them up automatically.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional
 
+from repro.metrics.manifest import short_hash
 from repro.metrics.registry import Log2Histogram, MetricsRegistry
 from repro.metrics.snapshot import canonical_json
 
@@ -136,9 +135,7 @@ class DataplaneObserver:
     def fingerprint(self) -> str:
         """Short BLAKE2b hash over the canonical JSON of every dataplane
         histogram — the latency analog of ``TimeSeries.fingerprint``."""
-        return hashlib.blake2b(
-            canonical_json(self.read_all()).encode("utf-8"),
-            digest_size=8).hexdigest()
+        return short_hash(canonical_json(self.read_all()))
 
     def percentiles(self, name: str,
                     ps: tuple = (50.0, 99.0)) -> Dict[str, float]:

@@ -26,10 +26,14 @@ from repro.parallel.seeding import point_key
 MANIFEST_SCHEMA = 1
 
 
+def short_hash(text: str) -> str:
+    """16 hex digits of BLAKE2b over ``text``: every fingerprint's form."""
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
+
+
 def stable_hash(obj: Any) -> str:
     """Short BLAKE2b hash of any point_key-encodable value."""
-    return hashlib.blake2b(point_key(obj).encode("utf-8"),
-                           digest_size=8).hexdigest()
+    return short_hash(point_key(obj))
 
 
 def manifest_path_for(result_path: str) -> str:

@@ -10,11 +10,11 @@ bit-identical between serial and ``--jobs N`` runs (the CI hard gate).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.metrics.manifest import short_hash
 from repro.metrics.registry import MetricsRegistry
 
 
@@ -82,9 +82,7 @@ class TimeSeries:
         bit-identical (docs/ARCHITECTURE.md, "testing the equivalence
         claim").  Pass ``()`` to hash every column.
         """
-        return hashlib.blake2b(
-            self.to_jsonl(exclude_prefixes).encode("utf-8"),
-            digest_size=8).hexdigest()
+        return short_hash(self.to_jsonl(exclude_prefixes))
 
 
 class Snapshotter:

@@ -9,25 +9,17 @@ Public surface:
 
 * :func:`run_parallel` — run ``fn(point, seed)`` over points, results in
   submission order; per-point timeouts, crash retry, serial fallback.
-* :class:`Sweep` / :class:`SweepResult` — declarative named sweeps.
 * :func:`seed_for` / :func:`point_key` — pure per-point seed derivation.
 * :func:`default_jobs` — usable host core count.
 
-Named, CLI-runnable sweeps live in :mod:`repro.parallel.sweeps`.
+The sweeps the ``sweep`` subcommand runs live in :mod:`repro.scenarios`.
 See docs/PERFORMANCE.md ("The parallel experiment engine").
 """
 
-from repro.parallel.engine import (
-    Sweep,
-    SweepResult,
-    default_jobs,
-    run_parallel,
-)
+from repro.parallel.engine import default_jobs, run_parallel
 from repro.parallel.seeding import point_key, seed_for
 
 __all__ = [
-    "Sweep",
-    "SweepResult",
     "default_jobs",
     "point_key",
     "run_parallel",

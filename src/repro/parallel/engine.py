@@ -652,66 +652,3 @@ def run_parallel(
     if journal is not None:
         journal.seal(state.keys)
     return results
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-
-
-@dataclass
-class SweepResult:
-    """Outcome of :meth:`Sweep.run`: points with values, in point order."""
-
-    name: str
-    points: List[Any]
-    values: List[Any]
-    wall_s: float
-    jobs: int
-
-    def as_dict(self) -> Dict[Any, Any]:
-        """``{point: value}`` (points must be hashable)."""
-        return dict(zip(self.points, self.values))
-
-    def __iter__(self):
-        return iter(zip(self.points, self.values))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass
-class Sweep:
-    """A named parameter sweep: points plus the experiment function.
-
-    Thin declarative wrapper over :func:`run_parallel` so benches and the
-    CLI share one spelling::
-
-        sweep = Sweep("fig2-cores", points=range(1, 9), fn=_rate_for_cores)
-        result = sweep.run(jobs=4)
-        rates = result.as_dict()
-    """
-
-    name: str
-    points: Sequence[Any]
-    fn: ExperimentFn
-    root_seed: int = 0
-    timeout_s: Optional[float] = None
-    retries: int = 1
-
-    def run(self, jobs: Optional[int] = None,
-            progress: Optional[Callable[[int, int, Any], None]] = None,
-            journal: Any = None,
-            supervise: Any = None,
-            report: Optional[DegradationReport] = None,
-            ) -> SweepResult:
-        """Execute the sweep; see :func:`run_parallel` for semantics."""
-        resolved = default_jobs() if jobs is None else max(1, int(jobs))
-        start = time.perf_counter()
-        values = run_parallel(
-            self.points, self.fn, jobs=resolved, root_seed=self.root_seed,
-            timeout_s=self.timeout_s, retries=self.retries,
-            progress=progress, journal=journal, supervise=supervise,
-            report=report)
-        wall = time.perf_counter() - start
-        return SweepResult(self.name, list(self.points), values,
-                           wall_s=wall, jobs=resolved)

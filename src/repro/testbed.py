@@ -4,7 +4,8 @@ The measurements in the paper use a handful of standard wirings: a
 generator pair on a cable (Section 6's loop-back tests), a generator
 around a device under test (Sections 7/8), and a fleet of ports driven by
 one core each (Section 5.5).  These builders assemble those topologies so
-examples and experiments don't repeat the plumbing.
+examples and experiments don't repeat the plumbing; every scenario in
+:mod:`repro.scenarios` is built through them.
 """
 
 from __future__ import annotations
@@ -36,15 +37,16 @@ def loadgen_pair(
     tx_queues: int = 2,
     rx_queues: int = 1,
     core_freq_hz: float = 2.4e9,
-    faults=None,
+    **options,
 ) -> LoadgenPair:
     """A generator port wired straight to a receiver port.
 
-    ``faults`` is forwarded to :class:`MoonGenEnv`: anything
-    :func:`repro.faults.load_plan` accepts, targeting ``port:0``,
-    ``port:1``, or ``wire:0->1`` / ``wire:1->0``.
+    ``options`` are forwarded to :class:`MoonGenEnv` (``cost_noise``,
+    ``trace``, ``batch``, ``faults``, ``metrics``, ``dataplane``,
+    ``watchdog``).  Fault targets here are ``port:0``, ``port:1``, and
+    ``wire:0->1`` / ``wire:1->0``.
     """
-    env = MoonGenEnv(seed=seed, core_freq_hz=core_freq_hz, faults=faults)
+    env = MoonGenEnv(seed=seed, core_freq_hz=core_freq_hz, **options)
     tx_dev = env.config_device(0, tx_queues=tx_queues, rx_queues=1, chip=chip)
     rx_dev = env.config_device(1, tx_queues=1, rx_queues=rx_queues, chip=chip)
     env.connect(tx_dev, rx_dev, cable=cable)
@@ -66,15 +68,16 @@ def dut_topology(
     dut_config: Optional[DutConfig] = None,
     tx_queues: int = 2,
     core_freq_hz: float = 2.4e9,
-    faults=None,
+    **options,
 ) -> DutTopology:
     """The l2-load-latency wiring: one port in, one port out of the DuT.
 
-    ``faults`` is forwarded to :class:`MoonGenEnv`; fault targets here
-    are ``port:0``/``port:1``, ``wire:0->sink`` (into the DuT),
-    ``wire:env->1`` (out of it), and ``dut``.
+    ``options`` are forwarded to :class:`MoonGenEnv`, as for
+    :func:`loadgen_pair`.  Fault targets here are ``port:0``/``port:1``,
+    ``wire:0->sink`` (into the DuT), ``wire:env->1`` (out of it), and
+    ``dut``.
     """
-    env = MoonGenEnv(seed=seed, core_freq_hz=core_freq_hz, faults=faults)
+    env = MoonGenEnv(seed=seed, core_freq_hz=core_freq_hz, **options)
     tx_dev = env.config_device(0, tx_queues=tx_queues, rx_queues=1)
     rx_dev = env.config_device(1, tx_queues=1, rx_queues=1)
     dut = OvsForwarder(env.loop, dut_config)
@@ -110,11 +113,16 @@ def port_fleet(
     chip: ChipModel = CHIP_X540,
     core_freq_hz: float = 2.0e9,
     tx_queues: int = 1,
+    **options,
 ) -> PortFleet:
-    """Build the Figure 4 fleet: one generator port per future core."""
+    """Build the Figure 4 fleet: one generator port per future core.
+
+    Port ``2i`` feeds port ``2i + 1``; ``options`` are forwarded to
+    :class:`MoonGenEnv`, as for :func:`loadgen_pair`.
+    """
     if n_ports <= 0:
         raise ConfigurationError(f"need at least one port: {n_ports}")
-    env = MoonGenEnv(seed=seed, core_freq_hz=core_freq_hz)
+    env = MoonGenEnv(seed=seed, core_freq_hz=core_freq_hz, **options)
     fleet = PortFleet(env)
     for i in range(n_ports):
         tx_dev = env.config_device(2 * i, tx_queues=tx_queues, chip=chip)

@@ -1,11 +1,17 @@
 """Tests for the moongen-repro command-line interface."""
 
 import io
+import json
+import pathlib
+import re
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenarios import GOLDEN
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -183,3 +189,79 @@ class TestJournalFlags:
         assert "burst-loss" in results
         assert open(journal).read().count('"kind":"point"') == 1
 
+
+class TestDeterminismGates:
+    """The CLI end to end: sharded, batched and repeated runs must print
+    the same fingerprints, and the exports must be well formed."""
+
+    def test_faults_json_serial_matches_two_jobs(self):
+        argv = ["faults", "--plan", "flap", "--plan", "burst-loss",
+                "--plan", "clock-step", "--seed", "3", "--json"]
+        code, serial = run_cli(argv)
+        assert code == 0
+        assert run_cli(argv + ["--jobs", "2"]) == (0, serial)
+        results = json.loads(serial)
+        assert set(results) == {"flap", "burst-loss", "clock-step"}
+        for name, result in results.items():
+            assert result["faults_injected"] > 0, name
+            assert result["metrics_fingerprint"], name
+
+    def test_quickstart_stdout_ignores_batch(self):
+        code, event = run_cli(["quickstart", "--seed", "3"])
+        assert code == 0
+        code, batch = run_cli(["quickstart", "--seed", "3", "--batch"])
+        assert code == 0
+        assert [line for line in batch.splitlines()
+                if not line.startswith("batch tier:")] == event.splitlines()
+
+    def test_load_latency_fingerprint_serial_jobs_batch(self, tmp_path):
+        prints = []
+        for extra in ([], ["--jobs", "2"], ["--batch"]):
+            out = str(tmp_path / f"ll{len(prints)}.jsonl")
+            code, text = run_cli(["load-latency", "--rate", "1.0",
+                                  "--duration-ms", "2", "--metrics", out]
+                                 + extra)
+            assert code == 0
+            prints.append(re.search(r"^latency fingerprint ([0-9a-f]+)$",
+                                    text, re.M).group(1))
+            if "--jobs" in extra:
+                assert "verified across 2 worker replicas" in text
+        assert prints == [prints[0]] * 3
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_trace_out_matches_golden(self, name, tmp_path):
+        out = tmp_path / "trace.jsonl"
+        assert run_cli(["trace", "--scenario", name, "--out", str(out)])[0] == 0
+        assert out.read_bytes() == (GOLDEN_DIR / GOLDEN[name]).read_bytes()
+
+    def test_metrics_export_schema_manifest_and_rerun(self, tmp_path):
+        from repro.metrics import load_manifest, manifest_path_for
+        from repro.metrics.export import validate_jsonl
+
+        first, again = tmp_path / "metrics.jsonl", tmp_path / "again.jsonl"
+        code, _ = run_cli(["metrics", "quickstart", "--out", str(first),
+                           "--csv", str(tmp_path / "metrics.csv"),
+                           "--prom", str(tmp_path / "metrics.prom")])
+        assert code == 0
+        rows = validate_jsonl(first.read_text())
+        assert rows[-1]["nic0.tx.packets"] > 0
+        manifest = load_manifest(manifest_path_for(str(first)))
+        assert manifest["command"].startswith("moongen-repro metrics")
+        assert manifest["result_fingerprint"]
+        assert run_cli(["metrics", "quickstart", "--out", str(again)])[0] == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_precision_csv_and_prom(self, tmp_path):
+        csv, prom = tmp_path / "precision.csv", tmp_path / "precision.prom"
+        code, _ = run_cli(["precision", "--rate", "1.0", "--duration-ms", "1",
+                           "--csv", str(csv), "--prom", str(prom)])
+        assert code == 0
+        assert re.search(r"^hardware,", csv.read_text(), re.M)
+        assert "precision_interarrival_crc_bucket" in prom.read_text()
+
+    def test_profile_json(self, tmp_path):
+        out = tmp_path / "profile.json"
+        code, _ = run_cli(["profile", "quickstart", "--json", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["events"] > 0 and doc["categories"]

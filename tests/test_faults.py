@@ -29,7 +29,7 @@ from repro.faults import (
     builtin_plans,
     load_plan,
 )
-from repro.faults.runner import run_plan
+from repro.scenarios import run_plan
 from repro.nicsim.eventloop import EventLoop
 from repro.nicsim.link import COPPER_CAT5E, Cable, Wire
 from repro.nicsim.nic import SimFrame
@@ -371,13 +371,71 @@ class TestDeterminism:
 
         assert seed_for(0, (0, flap)) != seed_for(0, (1, again))
 
-    def test_serial_matches_parallel_matrix(self):
-        from repro.faults.runner import run_matrix
 
-        names = ["flap", "clock-step"]
-        serial = run_matrix(names, seed=2, jobs=1)
-        sharded = run_matrix(names, seed=2, jobs=2)
-        assert serial == sharded
+
+def _overlapping(kind, first, second, at_ms):
+    """Windows A (1-3 ms) and B (2-4 ms) of one fault kind; the
+    topology after ``at_ms`` of simulated time."""
+    from repro.testbed import dut_topology, loadgen_pair
+
+    plan = FaultPlan(faults=(kind(start_ns=1e6, end_ns=3e6, **first),
+                             kind(start_ns=2e6, end_ns=4e6, **second)))
+    build = dut_topology if kind is DutOverload else loadgen_pair
+    top = build(1, faults=plan)
+    top.env.run_for(at_ms * 1e6)
+    return top
+
+
+class TestOverlappingWindows:
+    """While any window on an attribute is open it holds the value of the
+    most recently opened one; once none is, its value from before."""
+
+    # (kind, fields of A, fields of B, read the attribute, B's value,
+    # the value before the plan)
+    CASES = {
+        "corruption": (
+            CorruptionBurst, dict(target="wire:0->1", rate=0.5),
+            dict(target="wire:0->1", rate=0.3),
+            lambda top: top.env.wires["0->1"].corrupt_rate, 0.3, 0.0),
+        "queue-stall": (
+            QueueStall, dict(target="port:0"), dict(target="port:0"),
+            lambda top: top.tx_dev.port.tx_queues[0].stalled, True, False),
+        "burst-loss": (
+            BurstLoss, dict(target="wire:0->1"), dict(target="wire:0->1"),
+            lambda top: top.env.wires["0->1"].loss_model is not None,
+            True, False),
+        "dma-slowdown": (
+            DmaSlowdown, dict(target="port:0", factor=4.0),
+            dict(target="port:0", factor=8.0),
+            lambda top: top.tx_dev.port.dma_slowdown, 8.0, 1.0),
+        "ring-freeze": (
+            RingFreeze, dict(target="port:1"), dict(target="port:1"),
+            lambda top: top.rx_dev.port.rx_queues[0].frozen, True, False),
+        "dut-overload": (
+            DutOverload, dict(target="dut", factor=4.0),
+            dict(target="dut", factor=8.0),
+            lambda top: top.dut.overload, 8.0, 1.0),
+        "link-flap": (
+            LinkFlap, dict(target="port:1"), dict(target="port:1"),
+            lambda top: (top.rx_dev.port.link_up,
+                         top.env.wires["0->1"].carrier_up),
+            (False, False), (True, True)),
+        "link-flap-both-ends": (
+            LinkFlap, dict(target="port:0"), dict(target="port:1"),
+            lambda top: (top.tx_dev.port.link_up, top.rx_dev.port.link_up,
+                         top.env.wires["0->1"].carrier_up),
+            (True, False, False), (True, True, True)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_newest_open_window_wins_then_restores(self, name):
+        kind, first, second, read, during_b, before = self.CASES[name]
+        if first["target"] == second["target"]:  # both open: B is newer
+            assert read(_overlapping(kind, first, second, 2.5)) == during_b
+        late = _overlapping(kind, first, second, 3.5)
+        assert read(late) == during_b  # A closed, B still open
+        assert late.env.injector.active == 1
+        assert read(_overlapping(kind, first, second, 4.5)) == before
 
 
 class _SeqBuf:

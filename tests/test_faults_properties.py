@@ -24,7 +24,7 @@ from repro.faults import (
     QueueStall,
     RingFreeze,
 )
-from repro.faults.runner import run_plan
+from repro.scenarios import run_plan
 from tests._hypothesis_profiles import property_settings
 
 SETTINGS = property_settings(12)

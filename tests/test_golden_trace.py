@@ -1,15 +1,16 @@
 """Golden-trace regression tests.
 
 The committed traces under ``tests/golden/`` are bit-for-bit fingerprints
-of two canonical seeded runs — a CBR ``l2_load_latency``-style scenario and
-a software-paced Poisson stream.  Any behavioural drift in the event loop,
+of three canonical seeded runs (:data:`repro.scenarios.GOLDEN`): a CBR
+``l2_load_latency``-style scenario, a software-paced Poisson stream, and a
+chaos run under a small fault plan.  Any behavioural drift in the event loop,
 NIC model, wire model, DuT, or rate control changes event timings and
 therefore the trace bytes, so refactors of ``nic.py``/``link.py`` fail
 loudly here instead of silently shifting benchmark numbers.
 
 If a change is *intentional*, regenerate with::
 
-    PYTHONPATH=src python -m repro.trace.scenarios --write-golden tests/golden
+    PYTHONPATH=src python -m repro.scenarios --write-golden tests/golden
 
 and review the trace diff like a code diff.
 """
@@ -20,13 +21,13 @@ import pathlib
 
 import pytest
 
-from repro.trace.scenarios import SCENARIOS, run_scenario
+from repro.scenarios import GOLDEN, run_trace
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def golden_path(name):
-    return GOLDEN_DIR / SCENARIOS[name][1]
+    return GOLDEN_DIR / GOLDEN[name]
 
 
 def assert_matches_golden(name, text):
@@ -34,23 +35,23 @@ def assert_matches_golden(name, text):
     if text != golden:
         diff = "\n".join(difflib.unified_diff(
             golden.splitlines(), text.splitlines(),
-            fromfile=f"golden/{SCENARIOS[name][1]}", tofile="current",
+            fromfile=f"golden/{GOLDEN[name]}", tofile="current",
             lineterm="", n=2))
         pytest.fail(
             f"trace for scenario {name!r} drifted from the committed golden "
             f"(simulator behaviour changed).  If intentional, regenerate via "
-            f"'python -m repro.trace.scenarios --write-golden tests/golden' "
+            f"'python -m repro.scenarios --write-golden tests/golden' "
             f"and review:\n{diff[:4000]}"
         )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 class TestGoldenTraces:
     def test_byte_identical_to_committed_golden(self, name):
-        assert_matches_golden(name, run_scenario(name))
+        assert_matches_golden(name, run_trace(name))
 
     def test_two_runs_byte_identical(self, name):
-        assert run_scenario(name) == run_scenario(name)
+        assert run_trace(name) == run_trace(name)
 
     def test_golden_is_wellformed_jsonl(self, name):
         lines = golden_path(name).read_text().splitlines()

@@ -20,7 +20,6 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.parallel import (
-    Sweep,
     default_jobs,
     point_key,
     run_parallel,
@@ -261,24 +260,3 @@ class TestSerialFallback:
         assert default_jobs() >= 1
 
 
-# ---------------------------------------------------------------------------
-# Sweep wrapper
-
-
-class TestSweep:
-    def test_sweep_runs_and_reports(self):
-        sweep = Sweep("demo", points=(1, 2, 3), fn=_mix, root_seed=4)
-        result = sweep.run(jobs=1)
-        assert result.name == "demo"
-        assert result.points == [1, 2, 3]
-        assert result.values == run_parallel((1, 2, 3), _mix, jobs=1,
-                                             root_seed=4)
-        assert result.jobs == 1 and result.wall_s >= 0.0
-        assert len(result) == 3
-        assert result.as_dict()[2] == result.values[1]
-        assert list(result) == list(zip(result.points, result.values))
-
-    def test_sweep_jobs_do_not_change_values(self):
-        serial = Sweep("demo", points=tuple(range(5)), fn=_mix).run(jobs=1)
-        parallel = Sweep("demo", points=tuple(range(5)), fn=_mix).run(jobs=3)
-        assert serial.values == parallel.values

@@ -11,7 +11,7 @@ randomized inputs:
   byte-identical to a freshly constructed :class:`SimFrame` (payload,
   sizes, flags, fresh meta dict, fresh seq).
 
-The batch tier's equivalence lives in ``tests/test_batch_equivalence.py``.
+The batch tier's equivalence lives in ``tests/test_equivalence.py``.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -79,7 +79,7 @@ class TestModuleHygiene:
         "repro.analysis.cost_estimator", "repro.analysis.rfc2544",
         "repro.apps.scanner", "repro.apps.analyzer",
         "repro.parallel.engine", "repro.parallel.seeding",
-        "repro.parallel.sweeps",
+        "repro.scenarios",
     ]
 
     @pytest.mark.parametrize("module_name", MODULES)
