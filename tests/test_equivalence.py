@@ -15,7 +15,10 @@ sent = arrivals at its sink + dropped + in flight.
 
 The fixed scenarios are the registry's (:mod:`repro.scenarios`); those
 with an experiment function also run it in two worker replicas through
-``run_parallel(jobs=2)``.  The Hypothesis properties randomize the
+``run_parallel(jobs=2)``.  A CRC-gap pattern pair adds software pacing
+into a batchable port, which no registered scenario has.  With observers
+on, the dataplane cases also require that every hop the scenario
+crosses recorded samples.  The Hypothesis properties randomize the
 shapes that exist only to be randomized (send batch, ring size, cable
 latency, a foreign ticker, fault windows) and draw the observer setting
 as one more parameter.
@@ -37,6 +40,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro._optional import np as _installed_np
 from repro.batch import FALLBACK_REASONS
+from repro.core.ratecontrol import (
+    GapFiller,
+    PoissonPattern,
+    UniformBurstPattern,
+)
 from repro.faults import BurstLoss, FaultPlan, QueueStall, builtin_plans
 from repro.nicsim.link import Cable, Medium
 from repro.nicsim.nic import NicPort
@@ -55,9 +63,15 @@ from tests.test_faults_properties import _PLAN
 
 SETTINGS = property_settings(10)
 
-#: Result keys observers produce or change: their two fingerprints, and
-#: the chaos result's ``fingerprint``, which hashes them when present.
-OBSERVER_KEYS = ("metrics_fingerprint", "latency_fingerprint", "fingerprint")
+#: Result keys observers produce or change: their two fingerprints, the
+#: dataplane histograms themselves, and the chaos result's
+#: ``fingerprint``, which hashes the fingerprints when present.
+OBSERVER_KEYS = ("metrics_fingerprint", "latency_fingerprint", "dataplane",
+                 "fingerprint")
+
+#: The hops a frame crosses from port 0 to port 1 of a pair.
+PAIR_HOPS = ("latency.hop.nic0.txq0", "latency.hop.wire.0->1",
+             "latency.e2e.0->1", "interarrival.port1.rx")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +117,8 @@ def _sinks(env) -> Dict[str, Any]:
 
 
 def observe(env) -> Dict[str, Any]:
-    """Every device, queue, wire and DuT counter, and the clock."""
+    """Every device, queue, wire and DuT counter, the clock, and with
+    observers on every dataplane histogram (so a diff names the hop)."""
     obs: Dict[str, Any] = {"now_ps": env.loop.now_ps}
     for port_id, dev in env.devices.items():
         obs[f"port{port_id}"] = dict(_device_counters(dev),
@@ -114,6 +129,8 @@ def observe(env) -> Dict[str, Any]:
     for name, sink in _sinks(env).items():
         if not isinstance(sink, NicPort):
             obs[f"sink:{name}"] = sink.counters()
+    if env.dataplane is not None:
+        obs["dataplane"] = env.dataplane.read_all()
     return obs
 
 
@@ -163,7 +180,7 @@ def _run(case, batch: bool, observed: bool):
 
 def assert_modes_agree(case, expect_batched: bool = True,
                        expect_fallback: str = None,
-                       observed: bool = None) -> Dict[str, Any]:
+                       observed: bool = None, hops=()) -> Dict[str, Any]:
     """Run ``case`` in every mode and require one result.
 
     ``case(**options)`` builds a scenario with ``options`` forwarded to
@@ -176,7 +193,10 @@ def assert_modes_agree(case, expect_batched: bool = True,
     With ``expect_batched`` the tier must have executed trains;
     ``expect_fallback`` requires a documented fallback reason to fire
     (the way DuT topologies prove they declined to batch rather than
-    never being asked).  Returns the last batch run's tier stats.
+    never being asked).  Every dataplane histogram named in ``hops`` must
+    have recorded samples in each observed run, so that agreement is not
+    one between empty histograms.  Returns the last batch run's tier
+    stats.
     """
     settings_ = (False, True) if observed is None else (observed,)
     runs = {(batch, obs): _run(case, batch, obs)
@@ -192,6 +212,9 @@ def assert_modes_agree(case, expect_batched: bool = True,
                           + "\n  ".join(diff))
         if obs:
             assert result["latency_fingerprint"], mode
+            for hop in hops:
+                assert result["dataplane"][hop]["total"] > 0, (
+                    f"{mode}: {hop} recorded nothing")
     stats = None
     for (batch, obs), (env, _) in runs.items():
         if not batch:
@@ -286,6 +309,26 @@ def tx_case(send_batch: int = 32, frame_size: int = 60,
     return case
 
 
+def pattern_case(make_pattern, seed: int, duration_ns: float = 150_000.0):
+    """CRC-gap software rate control on a pair: 400 valid frames spaced
+    by the gaps ``make_pattern()`` draws, FCS-broken fillers between them.
+    The horizon cuts the traffic short, so the rings drain after it."""
+    def case(**options):
+        pair = loadgen_pair(seed, tx_queues=1, **options)
+        env = pair.env
+
+        def craft(buf, index):
+            buf.eth_packet.fill(eth_type=0x0800)
+
+        env.launch(GapFiller().load_task, env, pair.tx_dev.get_tx_queue(0),
+                   make_pattern(), 400, craft)
+        snap = _snapshotter(env, duration_ns)
+        env.wait_for_slaves(duration_ns=duration_ns)
+        return env, finish(env, snap)
+
+    return case
+
+
 def fleet_case(paced_second: bool):
     """Two independent port->sink pipelines (the Figure 2 shape)."""
     def case(**options):
@@ -305,6 +348,10 @@ def fleet_case(paced_second: bool):
 
 # ---------------------------------------------------------------------------
 # fixed scenarios
+
+
+needs_numpy = pytest.mark.skipif(
+    _installed_np is None, reason="traffic patterns draw gaps with numpy")
 
 
 class TestRegistryScenarios:
@@ -332,11 +379,8 @@ class TestRegistryScenarios:
     def test_load_latency_through_dut(self):
         assert_modes_agree(load_latency_case("cbr"), expect_batched=False,
                            expect_fallback="sink-unbatchable")
-        env, result = _run(load_latency_case("cbr"), False, True)
-        assert env.dataplane.histograms["latency.hop.dut.ring"].total > 0
 
-    @pytest.mark.skipif(_installed_np is None,
-                        reason="traffic patterns draw gaps with numpy")
+    @needs_numpy
     def test_poisson_crc_load_latency(self):
         """CRC-gap software pacing: fillers are FCS-gated out of the
         histograms, and the DuT NIC drops them before its ring."""
@@ -367,6 +411,62 @@ class TestRegistryScenarios:
         kwargs = dict(rate_mpps=1.0, duration_ns=400_000, seed=1)
         serial = run_precision_audit(**kwargs)
         assert run_precision_audit(jobs=2, batch=True, **kwargs) == serial
+
+
+class TestCrcGapPatterns:
+    """CRC-gap software pacing into a batchable port.  The producer
+    sleeps between gaps, so during the traffic every detected train is
+    bounded by its next wakeup and nothing fits (``horizon`` fallbacks);
+    the drain after the horizon still runs as real trains.  Fillers are
+    FCS-gated out of the histograms."""
+
+    @needs_numpy
+    def test_poisson_pattern(self):
+        stats = assert_modes_agree(
+            pattern_case(lambda: PoissonPattern(2e6, seed=4), seed=4),
+            expect_fallback="horizon", hops=PAIR_HOPS)
+        assert "unbounded" not in stats["fallbacks"], stats
+
+    @needs_numpy
+    def test_uniform_burst_pattern(self):
+        stats = assert_modes_agree(
+            pattern_case(lambda: UniformBurstPattern(1e6, burst_size=16),
+                         seed=8),
+            expect_fallback="horizon", hops=PAIR_HOPS)
+        assert "unbounded" not in stats["fallbacks"], stats
+
+
+class TestDataplaneEquivalence:
+    """The observation layer itself, observers on in both tiers: the
+    per-hop histograms agree whole, and every hop the scenario crosses
+    recorded samples."""
+
+    def test_quickstart_histograms_identical(self):
+        assert_modes_agree(registry_case("quickstart", 5, 1_500_000.0),
+                           observed=True, hops=PAIR_HOPS)
+
+    def test_hardware_cbr_histograms_identical(self):
+        assert_modes_agree(tx_case(rate_pps=2e6, seed=9), observed=True,
+                           hops=PAIR_HOPS)
+
+    def test_load_latency_dut_histograms_identical(self):
+        """The DuT ring joins the hops; load and probes each fill their
+        own tx queue."""
+        assert_modes_agree(
+            load_latency_case("cbr"), expect_batched=False,
+            expect_fallback="sink-unbatchable", observed=True,
+            hops=("latency.hop.nic0.txq0", "latency.hop.nic0.txq1",
+                  "latency.hop.wire.0->sink", "latency.hop.dut.ring",
+                  "latency.e2e.env->1", "interarrival.port1.rx"))
+
+    @pytest.mark.parametrize("name", ["burst-loss", "clock-step"])
+    def test_fault_plan_histograms_identical(self, name):
+        """A shorter, faster run than :class:`TestFaultPlans`': 2 Mpps
+        for 1.5 ms."""
+        assert_modes_agree(plan_case(builtin_plans(seed=0)[name],
+                                     duration_ns=1_500_000.0, rate_pps=2e6),
+                           expect_batched=False, observed=True,
+                           hops=PAIR_HOPS)
 
 
 class TestFaultPlans:
