@@ -11,60 +11,93 @@ import numpy as np
 import pytest
 
 from conftest import print_table, run_once
-from repro import CbrPattern, GapFiller, MoonGenEnv, units
+from repro import (CbrPattern, GapFiller, MoonGenEnv, PoissonPattern,
+                   UniformBurstPattern, units)
 from repro.dut import DutConfig, OvsForwarder, simulate_forwarder
 from repro.nicsim.nic import SimFrame
 
 
 def event_driven_dut(arrivals_ns):
-    """Feed explicit arrival times through the event-driven forwarder."""
+    """Feed explicit arrival times through the event-driven forwarder;
+    returns per-arrival latencies (NaN where the DuT dropped) and the DuT."""
     env = MoonGenEnv(seed=1)
     dut = OvsForwarder(env.loop)
-    latencies = []
+    latencies = np.full(len(arrivals_ns), np.nan)
 
     def sink(frame, t):
-        latencies.append((frame.meta["dut_departure_ps"]
-                          - frame.meta["dut_arrival_ps"]) / 1000.0)
+        latencies[frame.meta["index"]] = (frame.meta["dut_departure_ps"]
+                                          - frame.meta["dut_arrival_ps"]) / 1000.0
+
+    def arrive(index):
+        frame = SimFrame(b"\x00" * 60)
+        frame.meta["index"] = index
+        dut.ingress(frame, env.loop.now_ps)
 
     from repro.nicsim.link import Wire
     wire = Wire(env.loop, units.SPEED_10G)
     wire.connect(sink)
     dut.connect_output(wire)
-    for t in arrivals_ns:
-        env.loop.schedule_at(
-            round(t * 1000),
-            lambda: dut.ingress(SimFrame(b"\x00" * 60), env.loop.now_ps),
-        )
+    for index, t in enumerate(arrivals_ns):
+        env.loop.schedule_at(round(t * 1000), lambda i=index: arrive(i))
     env.loop.run()
-    return np.asarray(latencies), dut
+    return latencies, dut
 
 
-def test_validation_dut_latency_agrees(benchmark):
-    """Same arrivals, same latencies: event loop vs fastpath."""
+#: Arrival shapes both DuT paths see, 3000 arrivals each.
+DUT_SHAPES = {
+    "1 Mpps CBR": lambda: CbrPattern(1e6),
+    "1.8 Mpps CBR": lambda: CbrPattern(1.8e6),
+    "1 Mpps Poisson": lambda: PoissonPattern(1e6),
+    "1 Mpps, 16-frame bursts": lambda: UniformBurstPattern(1e6,
+                                                            burst_size=16),
+}
+
+#: Poisson arrivals clump inside the moderation interval.  The fastpath
+#: takes each interrupt's ITR step when the arrival that wakes the CPU is
+#: processed; the event path takes it when the interrupt fires, after the
+#: clump.  From the third interrupt on the two run different ITR classes
+#: (29 vs 26 interrupts, latencies up to 118 us apart).  Merging the two
+#: models into one per-arrival kernel must make this case pass.
+POISSON_DIVERGES = pytest.mark.xfail(
+    strict=True, reason="the fastpath reads the moderator's clump state "
+                        "at the waking arrival, not at the interrupt")
+
+
+@pytest.mark.parametrize("shape", [
+    "1 Mpps CBR", "1.8 Mpps CBR", "1 Mpps, 16-frame bursts",
+    pytest.param("1 Mpps Poisson", marks=POISSON_DIVERGES)])
+def test_validation_dut_latency_agrees(benchmark, shape):
+    """Same arrivals, same packets forwarded and dropped, same interrupts,
+    same latencies: event loop vs fastpath.  The event path rounds each
+    scheduled step to whole picoseconds, so a latency may differ by that
+    rounding; 2 ps bounds it."""
     def experiment():
-        arrivals = np.arange(3000) * 1000.0  # 1 Mpps CBR
+        gaps = DUT_SHAPES[shape]().gaps_ns(2999)
+        arrivals = np.concatenate(([0.0], np.cumsum(gaps)))
         fast = simulate_forwarder(arrivals)
         event_lat, dut = event_driven_dut(arrivals)
-        fast_lat = fast.latencies_ns[~np.isnan(fast.latencies_ns)]
-        return fast_lat, event_lat, fast, dut
+        return fast, event_lat, dut
 
-    fast_lat, event_lat, fast, dut = run_once(benchmark, experiment)
+    fast, event_lat, dut = run_once(benchmark, experiment)
+    fast_lat = fast.latencies_ns
+    ok = ~np.isnan(fast_lat)
+    worst_ps = np.abs(event_lat[ok] - fast_lat[ok]).max() * 1000.0
     rows = [
         ["forwarded", fast.forwarded, dut.forwarded],
+        ["dropped", fast.dropped, dut.rx_dropped],
         ["interrupts", fast.interrupts, dut.interrupts],
         ["median latency [µs]",
-         f"{np.median(fast_lat) / 1e3:.2f}", f"{np.median(event_lat) / 1e3:.2f}"],
-        ["p90 latency [µs]",
-         f"{np.percentile(fast_lat, 90) / 1e3:.2f}",
-         f"{np.percentile(event_lat, 90) / 1e3:.2f}"],
+         f"{np.median(fast_lat[ok]) / 1e3:.2f}",
+         f"{np.nanmedian(event_lat) / 1e3:.2f}"],
+        ["max per-packet |diff| [ps]", "", f"{worst_ps:.3f}"],
     ]
-    print_table("event-driven vs vectorized DuT @ 1 Mpps CBR",
+    print_table(f"event-driven vs vectorized DuT @ {shape}",
                 ["metric", "fastpath", "event loop"], rows)
     assert dut.forwarded == fast.forwarded
-    assert dut.interrupts == pytest.approx(fast.interrupts, rel=0.02)
-    assert np.median(event_lat) == pytest.approx(np.median(fast_lat), rel=0.02)
-    assert np.percentile(event_lat, 90) == pytest.approx(
-        np.percentile(fast_lat, 90), rel=0.05)
+    assert dut.rx_dropped == fast.dropped
+    assert dut.interrupts == fast.interrupts
+    assert np.array_equal(np.isnan(event_lat), ~ok)
+    assert worst_ps <= 2.0
 
 
 def test_validation_crc_gap_wire_schedule(benchmark):

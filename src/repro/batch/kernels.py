@@ -302,10 +302,6 @@ def _fifo_train(train, start_ps: int) -> Tuple[int, int]:
                             fsig.trigger()
                     else:
                         recycle()
-                else:
-                    recycle = frame.meta.pop("recycle", None)
-                    if recycle is not None:
-                        recycle()
                 fifo.append((frame, source))
                 fifo_bytes += frame.size
                 fetches += 1
@@ -432,10 +428,6 @@ def _fifo_train(train, start_ps: int) -> Tuple[int, int]:
                                 if seg_sig._waiters:
                                     seg_sig.trigger()
                             else:
-                                rec()
-                        else:
-                            rec = frame.meta.pop("recycle", None)
-                            if rec is not None:
                                 rec()
                         fappend((frame, source))
                     fetches += k
@@ -736,10 +728,6 @@ def _paced_ring_train(train, start_ps: int) -> Tuple[int, int]:
         if recycle is not None:
             frame.recycle = None
             recycle()
-        else:
-            recycle = frame.meta.pop("recycle", None)
-            if recycle is not None:
-                recycle()
         if wake:
             if dp is not None:
                 for f in pframes[psent:psent + wake]:

@@ -313,18 +313,12 @@ def _report_outcome(report) -> int:
     return 3 if report.degraded else 0
 
 
-def _scenario_for(name: str):
-    """The builder behind ``metrics``/``profile``'s scenario choices."""
-    from repro.scenarios import SCENARIOS
-
-    return SCENARIOS["quickstart" if name == "quickstart" else "dut-forward"]
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.metrics import to_prometheus, write_csv
+    from repro.scenarios import SCENARIOS
 
     faults = _resolve_faults(args)
-    top = _scenario_for(args.scenario)(args.seed, faults=faults, metrics=True)
+    top = SCENARIOS[args.scenario](args.seed, faults=faults, metrics=True)
     env, tx = top.env, top.tx_dev
     _warn_unmatched_faults(env)
     snapshotter = env.start_snapshotter(_metrics_interval_ns(args))
@@ -354,9 +348,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.metrics import profile_env
+    from repro.scenarios import SCENARIOS
 
-    env = _scenario_for(args.scenario)(args.seed,
-                                       faults=_resolve_faults(args)).env
+    env = SCENARIOS[args.scenario](args.seed,
+                                   faults=_resolve_faults(args)).env
     _warn_unmatched_faults(env)
     report = profile_env(env, duration_ns=args.duration_ms * 1e6)
     print(report.format_table())
@@ -783,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(with a provenance manifest), optionally CSV and a "
                     "Prometheus text-format scrape file.",
     )
-    p.add_argument("scenario", choices=("quickstart", "load-latency"),
+    p.add_argument("scenario", choices=("quickstart", "dut-forward"),
                    help="topology to run instrumented")
     p.add_argument("--duration-ms", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
@@ -808,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "callbacks, for localizing a slowdown the perf ledger "
                     "(benchmarks/ledger) reports (docs/METRICS.md).",
     )
-    p.add_argument("scenario", choices=("quickstart", "load-latency"),
+    p.add_argument("scenario", choices=("quickstart", "dut-forward"),
                    help="topology to profile")
     p.add_argument("--duration-ms", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)

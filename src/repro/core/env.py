@@ -102,21 +102,11 @@ class MoonGenEnv:
                 self.metrics = metrics
             registry = self.metrics
             loop = self.loop
-            # Snapshots land *inside* run(), whose hot loop keeps its
-            # event count in a local for speed; the live cell exposes the
-            # in-progress counts so mid-run samples are not stale.
-            loop.live_counts = [0, 0]
-
-            def _events_total() -> int:
-                live = loop.live_counts
-                return loop.events_processed + (live[0] if live else 0)
-
-            def _lane_total() -> int:
-                live = loop.live_counts
-                return loop.lane_events_processed + (live[1] if live else 0)
-
+            # The loop adds each segment's counts as the segment ends and
+            # ends one just before every snapshotter wake, so the totals
+            # are current whenever a wake samples them.
             events = registry.counter(
-                "loop.events", _events_total,
+                "loop.events", lambda: loop.events_processed,
                 help="events executed by the scheduler")
             registry.rate("loop.events_per_s", events,
                           help="event rate between snapshots (sim time)")
@@ -124,8 +114,8 @@ class MoonGenEnv:
                            help="live events currently scheduled")
             registry.gauge(
                 "loop.lane_hit_ratio",
-                lambda: (_lane_total() / _events_total()
-                         if _events_total() else 0.0),
+                lambda: (loop.lane_events_processed / loop.events_processed
+                         if loop.events_processed else 0.0),
                 help="fraction of events taken via the same-instant "
                      "fast lane")
             # Heap self-accounting.  These describe the scheduler's work,
@@ -425,10 +415,13 @@ class MoonGenEnv:
     # -- telemetry ------------------------------------------------------------
 
     def start_snapshotter(self, interval_ns: float = 1_000_000.0):
-        """Launch a metrics :class:`~repro.metrics.Snapshotter` task.
+        """Start a metrics :class:`~repro.metrics.Snapshotter`.
 
-        Requires ``MoonGenEnv(metrics=...)``; returns the snapshotter
-        (its ``series`` holds the sampled rows after the run).
+        It samples from event-loop daemons, not a slave task: it takes
+        no core and no task slot, and a run whose traffic ends before
+        its horizon ends where it would without it.  Call it before the
+        run.  Requires ``MoonGenEnv(metrics=...)``; returns the
+        snapshotter (its ``series`` holds the sampled rows after the run).
         """
         if self.metrics is None:
             raise ConfigurationError(
@@ -438,5 +431,5 @@ class MoonGenEnv:
 
         snapshotter = Snapshotter(self, self.metrics,
                                   interval_ns=interval_ns)
-        self.launch(snapshotter.task, name="metrics-snapshotter")
+        snapshotter.start()
         return snapshotter

@@ -27,24 +27,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None
-
 from repro import units
+from repro._optional import np, require_numpy
 from repro.errors import ConfigurationError, GapError
 from repro.core.memory import MemPool
-
-
-def _require_numpy() -> None:
-    """Traffic patterns draw/shape gap arrays with numpy; the batch tier
-    and the plain event-driven paths do not.  Fail loudly, not with an
-    ``AttributeError`` on ``None``."""
-    if np is None:
-        raise ConfigurationError(
-            "numpy is required for traffic patterns / gap planning "
-            "(pip install numpy, or the repo's [test] extra)")
 
 #: Wire length below which the NICs refuse to send at all (Section 8.1).
 HARD_MIN_WIRE = units.MIN_WIRE_LENGTH  # 33 bytes
@@ -85,7 +71,7 @@ class CbrPattern(TrafficPattern):
     pps: float
 
     def __post_init__(self) -> None:
-        _require_numpy()
+        require_numpy("traffic patterns and gap planning")
         if self.pps <= 0:
             raise ConfigurationError(f"packet rate must be positive: {self.pps}")
 
@@ -105,7 +91,7 @@ class PoissonPattern(TrafficPattern):
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _require_numpy()
+        require_numpy("traffic patterns and gap planning")
         if self.pps <= 0:
             raise ConfigurationError(f"packet rate must be positive: {self.pps}")
         self._rng = np.random.default_rng(self.seed)
@@ -131,7 +117,7 @@ class UniformBurstPattern(TrafficPattern):
     speed_bps: int = units.SPEED_10G
 
     def __post_init__(self) -> None:
-        _require_numpy()
+        require_numpy("traffic patterns and gap planning")
         if self.burst_size < 1:
             raise ConfigurationError(f"burst size must be >= 1: {self.burst_size}")
         if self.pps <= 0:
@@ -162,7 +148,7 @@ class CustomGapPattern(TrafficPattern):
     gaps: Sequence[float]
 
     def __post_init__(self) -> None:
-        _require_numpy()
+        require_numpy("traffic patterns and gap planning")
         if len(self.gaps) == 0:
             raise ConfigurationError("empty gap sequence")
         if any(g < 0 for g in self.gaps):
@@ -360,7 +346,7 @@ class GapFiller:
         are physically impossible (the packet itself occupies the wire) and
         raise :class:`GapError` unless within rounding distance.
         """
-        _require_numpy()
+        require_numpy("traffic patterns and gap planning")
         if not isinstance(desired_gaps_ns, np.ndarray):
             desired_gaps_ns = list(desired_gaps_ns)
         desired = np.asarray(desired_gaps_ns, dtype=float)

@@ -4,8 +4,8 @@ Four pieces (see ``docs/METRICS.md``):
 
 * :class:`MetricsRegistry` + Counter/Gauge/Rate/:class:`Log2Histogram` —
   components publish metrics under stable dotted names;
-* :class:`Snapshotter`/:class:`TimeSeries` — a slave task samples the
-  registry on a fixed sim-time interval; series are deterministic and
+* :class:`Snapshotter`/:class:`TimeSeries` — event-loop daemons sample
+  the registry on a fixed sim-time interval; series are deterministic and
   fingerprintable;
 * exporters — JSONL (canonical), CSV, Prometheus text (one-shot scrape
   file);

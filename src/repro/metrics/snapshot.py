@@ -1,11 +1,14 @@
 """Sim-time sampling of a metrics registry into an in-memory time series.
 
-The :class:`Snapshotter` is a slave task like any userscript loop: it
-sleeps a fixed *simulated* interval, samples every registered metric, and
-appends one row to a :class:`TimeSeries`.  Because sampling happens at
-deterministic simulated instants and reads deterministic simulation
-state, the resulting series — and its BLAKE2b fingerprint — is
-bit-identical between serial and ``--jobs N`` runs (the CI hard gate).
+The :class:`Snapshotter` wakes every fixed *simulated* interval, samples
+every registered metric, and appends one row to a :class:`TimeSeries`.
+Its wakes are event-loop daemons
+(:meth:`~repro.nicsim.eventloop.EventLoop.schedule_daemon`): they fire
+beside the traffic but never keep the run alive, so an observed run ends
+where the bare run does.  Because sampling happens at deterministic
+simulated instants and reads deterministic simulation state, the
+resulting series — and its BLAKE2b fingerprint — is bit-identical
+between serial and ``--jobs N`` runs (the CI hard gate).
 """
 
 from __future__ import annotations
@@ -86,16 +89,19 @@ class TimeSeries:
 
 
 class Snapshotter:
-    """A slave task that samples a registry every ``interval_ns`` of sim time.
+    """Samples a registry every ``interval_ns`` of sim time.
 
-    Launch it like a monitor (``env.launch(snapshotter.task)``); it samples
-    once per interval while the experiment runs, and :meth:`finalize` (also
-    called when the task loop exits) takes a closing sample so the last row
-    reflects final state.  Finalize is same-instant idempotent: a second
-    sample at an instant already recorded is skipped, but a *later* call —
-    e.g. after ``wait_for_slaves`` drains in-flight frames past the stop
-    horizon — records one more row, which is what makes the series' final
-    counter values exactly match the device counters.
+    :meth:`start` (``env.start_snapshotter`` calls it) schedules a daemon
+    at the current instant, which schedules the first wake.  Each wake
+    samples and, while ``env.running()``, schedules the next one
+    ``interval_ns`` later.  The wakes stop when the traffic does: a run
+    whose traffic ends before its horizon leaves no rows after it.
+    :meth:`finalize` takes a closing sample so the last row reflects
+    final state.  Finalize is same-instant idempotent: a second sample
+    at an instant already recorded is skipped, but a *later* call — e.g.
+    after ``wait_for_slaves`` drains in-flight frames past the stop
+    horizon — records one more row, which is what makes the series'
+    final counter values exactly match the device counters.
     """
 
     def __init__(self, env, registry: MetricsRegistry,
@@ -107,6 +113,7 @@ class Snapshotter:
         self.env = env
         self.registry = registry
         self.interval_ns = float(interval_ns)
+        self._interval_ps = round(self.interval_ns * 1000)
         self.series = TimeSeries()
         self.samples = 0
 
@@ -117,15 +124,22 @@ class Snapshotter:
         self.series.append(row)
         self.samples += 1
 
-    def task(self):
-        """Generator slave task: sample on the interval, then finalize."""
+    def start(self) -> None:
+        """Schedule the first wake from a daemon at the current instant."""
+        loop = self.env.loop
+        loop.schedule_daemon(loop.now_ps, self._rearm)
+
+    def _wake(self) -> None:
+        self._sample()
+        self._rearm()
+
+    def _rearm(self) -> None:
+        """Schedule the next wake while the experiment runs, else close."""
         env = self.env
-        interval = self.interval_ns
-        try:
-            while env.running():
-                yield env.sleep_ns(interval)
-                self._sample()
-        finally:
+        if env.running():
+            loop = env.loop
+            loop.schedule_daemon(loop.now_ps + self._interval_ps, self._wake)
+        else:
             self.finalize()
 
     def finalize(self) -> None:

@@ -35,9 +35,19 @@ Hot-path structure (docs/PERFORMANCE.md):
   cancelling an already-fired handle (the MAC-wakeup and
   ``wait_any``-timeout patterns) is a no-op.  ``pending_events`` is a
   counter read, not a scan.
-* ``run()`` keeps the hot structures in locals and inlines the step
-  logic; the tracer hook costs one local ``is not None`` test per event
-  when disabled.  Attach tracers before calling ``run()``.
+* **one hot loop** — :meth:`EventLoop._run` keeps the hot structures in
+  locals and inlines the step logic; the tracer hook costs one local
+  ``is not None`` test per event when disabled.  Attach tracers before
+  calling ``run()``.  ``run()`` and ``step()`` drive it in segments and
+  do the rest between them: the ``max_events`` budget, the
+  :class:`Watchdog` checks, the daemon rule and the final clock advance.
+
+A *daemon* (:meth:`EventLoop.schedule_daemon`, the metrics snapshotter's
+wakes) is an ordinary event that never keeps ``run()`` alive on its own:
+before the clock crosses into its instant, if no live event other than a
+daemon is left and no ``until_ps`` reaches that instant, ``run()``
+cancels the daemons and returns with the clock where the last real
+event put it.
 """
 
 from __future__ import annotations
@@ -131,8 +141,8 @@ class Watchdog:
       call.  A simulation that is making sim-time progress but will
       never finish within the operator's patience aborts with
       :class:`~repro.errors.SimAborted` instead of holding a worker
-      forever.  Checked every ``check_every`` events to keep the per-
-      event cost at one integer test.
+      forever.  Checked between segments of the hot loop, every
+      ``check_every`` events, so it costs nothing per event.
     * ``max_zero_advance`` — a livelock detector: K *consecutive* events
       fired without the simulated clock advancing means some component
       is rescheduling itself at the current instant forever (the classic
@@ -185,24 +195,20 @@ class EventLoop:
         #: Live (non-cancelled) events in the lane — exact, see Event.
         self._lane_live = 0
         self.now_ps = 0
-        self._running = False
         self._processes: List["Process"] = []
+        #: Daemon events (:meth:`schedule_daemon`); the driver drops the
+        #: spent ones.
+        self._daemons: List[Event] = []
         #: Horizon of the innermost active ``run(until_ps=...)`` call, used
         #: by the batch tier to bound its arithmetic time skips.
         self._until_ps: Optional[int] = None
         #: Total events executed over the loop's lifetime, by :meth:`run`,
-        #: :meth:`step` or the self-profiler.
+        #: :meth:`step` or the self-profiler; added as each segment ends.
         self.events_processed = 0
         #: Of those, events taken from the same-instant fast lane —
         #: ``lane_events_processed / events_processed`` is the fast-lane
         #: hit ratio published as ``loop.lane_hit_ratio``.
         self.lane_events_processed = 0
-        #: Live-count cell for metrics (``repro.metrics``): ``None`` (the
-        #: default) keeps :meth:`run`'s per-event cost at one local test,
-        #: like the tracer hook; a ``[events, lane_events]`` list makes
-        #: the in-progress counts of the *current* ``run()`` call visible
-        #: to snapshot samplers (the totals above only flush on exit).
-        self.live_counts = None
         #: Optional :class:`repro.trace.Tracer`; ``None`` keeps every
         #: instrumentation site on its zero-cost fast path.
         self.tracer = None
@@ -213,10 +219,7 @@ class EventLoop:
         #: one event at a time; the tier owns the run-detection rules
         #: and the fallback accounting.
         self.batch = None
-        #: Optional :class:`Watchdog`; ``None`` (default) keeps ``run()``
-        #: on the uninstrumented fast path.  With one armed, ``run()``
-        #: dispatches to :meth:`_run_watched`, which adds a wall-clock
-        #: deadline and a zero-advance livelock detector.
+        #: Optional :class:`Watchdog`, checked between segments.
         self.watchdog: Optional[Watchdog] = None
 
     @property
@@ -248,6 +251,18 @@ class EventLoop:
         event = Event(time_ps, callback, heap)
         heapq.heappush(heap.queue, (time_ps, next(self._seq), event))
         heap.live += 1
+        return event
+
+    def schedule_daemon(self, time_ps: int, callback: Callable[[], None]
+                        ) -> Event:
+        """Run ``callback`` at ``time_ps`` as a daemon (module docstring).
+
+        The driver reads the daemons between segments: one a daemon
+        schedules is seen at once, one any other event schedules inside
+        ``run()`` takes effect from the next ``run()`` call.
+        """
+        event = self.schedule_at(time_ps, callback)
+        self._daemons.append(event)
         return event
 
     # -- lazy deletion ---------------------------------------------------------
@@ -324,13 +339,12 @@ class EventLoop:
 
     # -- execution -------------------------------------------------------------
 
-    def _next_event(self, until_ps: Optional[int] = None) -> Optional[Event]:
-        """Pop the next live event in deterministic order.
+    def _next_event(self) -> Optional[Event]:
+        """Pop the next live event in deterministic order, or ``None``.
 
-        Returns ``None`` when the loop is empty or the next event lies
-        beyond ``until_ps``.  Lane pops are counted here, so :meth:`step`,
-        the watched loop and the self-profiler account for them as
-        :meth:`run` does.
+        Only the self-profiler (:class:`repro.metrics.LoopProfiler`)
+        drives the loop this way; it counts lane pops as :meth:`_run`
+        does.
         """
         lane = self._lane
         heap = self._heap
@@ -344,8 +358,7 @@ class EventLoop:
                     continue
                 # Heap entries at the current instant predate lane
                 # entries, so they fire first.
-                bound = self.now_ps if lane else until_ps
-                if bound is None or time_ps <= bound:
+                if not lane or time_ps <= self.now_ps:
                     heapq.heappop(queue)
                     event._in_sched = False
                     heap.live -= 1
@@ -361,48 +374,123 @@ class EventLoop:
             return event
 
     def step(self) -> bool:
-        """Run the next pending event; returns False if none are left."""
-        event = self._next_event()
-        if event is None:
-            return False
-        self.now_ps = event.time_ps
-        if self.tracer is not None:
-            self.tracer.emit("event", "event_fired",
-                             cb=_callback_name(event.callback))
-        event.callback()
-        self.events_processed += 1
-        return True
+        """Run the next pending event; returns False if none are left.
+
+        A one-event :meth:`run`: when only daemons are left it cancels
+        them and returns False.
+        """
+        return self._drive(None, 1) == 1
 
     def run(self, until_ps: Optional[int] = None, max_events: int = 50_000_000) -> None:
         """Run events until the queue drains or ``until_ps`` is reached.
 
         ``max_events`` guards against runaway simulations; exceeding it is a
-        bug in the caller, not a normal exit.
-
-        With a :class:`Watchdog` armed the watched loop runs instead —
-        same events, same order, same clocks, plus the wall-clock
-        deadline and livelock guards.
+        bug in the caller, not a normal exit.  Without ``until_ps`` the
+        run also ends when only daemons are left (module docstring).
         """
-        if self.watchdog is not None:
-            self._run_watched(until_ps, max_events)
-            return
+        if self._drive(until_ps, max_events + 1) > max_events:
+            raise SimulationError(
+                f"event budget exhausted after {max_events} events at "
+                f"{self.now_ps} ps"
+            )
+        if until_ps is not None and until_ps > self.now_ps:
+            self.now_ps = until_ps
+
+    def _drive(self, until_ps: Optional[int], limit: int) -> int:
+        """Fire up to ``limit`` events through :meth:`_run`; returns how
+        many fired.
+
+        A segment ends at ``until_ps``, one picosecond before the
+        earliest daemon's instant, or where a watchdog check is due.
+        The daemon's instant then fires one event per segment until the
+        daemon has fired, so it reads counts that include every event
+        before it.
+        """
+        if until_ps is not None and until_ps < self.now_ps:
+            # A horizon already in the past fires nothing: events at
+            # `now` would overshoot it.
+            return 0
+        watchdog = self.watchdog
+        max_zero = deadline = None
+        if watchdog is not None:
+            max_zero = watchdog.max_zero_advance
+            check_every = watchdog.check_every
+            if watchdog.wall_deadline_s is not None:
+                deadline = time.monotonic() + watchdog.wall_deadline_s
+        fired = 0
+        zero_advance = 0
+        prev_until = self._until_ps
+        self._until_ps = until_ps
+        try:
+            while fired < limit:
+                budget = limit - fired
+                if max_zero is not None:
+                    budget = min(budget, max_zero - zero_advance)
+                if deadline is not None:
+                    budget = min(budget, check_every - fired % check_every)
+                stop = until_ps
+                self._daemons = [e for e in self._daemons if e._in_sched]
+                daemon_ps = min((e.time_ps for e in self._daemons),
+                                default=None)
+                if daemon_ps is not None and (until_ps is None
+                                              or daemon_ps <= until_ps):
+                    if self.next_event_time_ps() < daemon_ps:
+                        stop = daemon_ps - 1
+                    elif (daemon_ps > self.now_ps and until_ps is None
+                          and self.pending_events == len(self._daemons)):
+                        for event in self._daemons:  # only daemons left
+                            event.cancel()
+                        break
+                    else:
+                        stop, budget = daemon_ps, 1
+                count, still = self._run(stop, budget)
+                fired += count
+                # `still == count`: the clock did not move this segment.
+                zero_advance = (zero_advance + count if still == count
+                                else still)
+                if fired >= limit:
+                    break
+                if max_zero is not None and zero_advance >= max_zero:
+                    raise SimAborted(
+                        f"livelock: {zero_advance} consecutive events "
+                        f"without sim-time progress at {self.now_ps} ps",
+                        self.diagnostics_snapshot(
+                            "livelock", fired, zero_advance))
+                if (deadline is not None and count
+                        and fired % check_every == 0
+                        and time.monotonic() > deadline):
+                    raise SimAborted(
+                        f"wall-clock deadline: run() exceeded "
+                        f"{watchdog.wall_deadline_s} s after {fired} events "
+                        f"at {self.now_ps} ps",
+                        self.diagnostics_snapshot(
+                            "wall_deadline", fired, zero_advance))
+                if count < budget and stop == until_ps:
+                    break  # nothing left up to the caller's horizon
+        finally:
+            self._until_ps = prev_until
+        return fired
+
+    def _run(self, stop_ps: Optional[int], limit: int) -> Tuple[int, int]:
+        """The hot loop: fire events in order until the next one lies
+        beyond ``stop_ps`` or ``limit`` have fired; the clock moves only
+        by firing.  Returns ``(fired, still)``, ``still`` counting the
+        events fired after the clock last moved (``fired`` if it never
+        did).  The counts are added to the totals even if a callback
+        raises.
+        """
         heap = self._heap
         lane = self._lane
         queue = heap.queue
         pop = heapq.heappop
         push = heapq.heappush
         tracer = self.tracer
-        live = self.live_counts
         now = self.now_ps
         count = 0
         lane_count = 0
-        prev_until = self._until_ps
-        self._until_ps = until_ps
+        moved = -1  # `count` when the clock last moved
         try:
-            # A horizon already in the past fires nothing (events at `now`
-            # would overshoot it); past entry the check never trips — the
-            # heap branch breaks first, and lane events are always at `now`.
-            while until_ps is None or until_ps >= now:
+            while True:
                 # Inline _next_event(): this loop is the hottest code in the
                 # simulator, every attribute load counts.
                 if lane:
@@ -428,15 +516,17 @@ class EventLoop:
                         heap.cancelled -= 1
                         continue
                     time_ps = entry[0]
-                    if until_ps is not None and time_ps > until_ps:
-                        # Crossed the horizon: put the (rare) overshooting
+                    if stop_ps is not None and time_ps > stop_ps:
+                        # Past the stop: put the (rare) overshooting
                         # event back — peeking every iteration costs more.
                         push(queue, entry)
                         break
                     event._in_sched = False
                     heap.live -= 1
-                    now = time_ps
-                    self.now_ps = time_ps
+                    if time_ps != now:
+                        now = time_ps
+                        self.now_ps = time_ps
+                        moved = count
                 else:
                     break
                 if tracer is not None:
@@ -444,92 +534,12 @@ class EventLoop:
                                 cb=_callback_name(event.callback))
                 event.callback()
                 count += 1
-                if live is not None:
-                    live[0] = count
-                    live[1] = lane_count
-                if count > max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {max_events} events at "
-                        f"{self.now_ps} ps"
-                    )
+                if count >= limit:
+                    break
         finally:
-            self._until_ps = prev_until
             self.events_processed += count
             self.lane_events_processed += lane_count
-            if live is not None:
-                live[0] = 0
-                live[1] = 0
-        if until_ps is not None and until_ps > self.now_ps:
-            self.now_ps = until_ps
-
-    def _run_watched(self, until_ps: Optional[int], max_events: int) -> None:
-        """:meth:`run` through :meth:`_next_event`, wrapped in watchdog guards.
-
-        Fires the same events in the same order with the same clock
-        updates as the plain loop — the guards only *observe* (a
-        wall-clock read every ``check_every`` events, one comparison per
-        event for the zero-advance counter) and abort via
-        :class:`~repro.errors.SimAborted` when tripped.  Lane events are
-        counted by :meth:`_next_event` as they pop, so the live cell's
-        lane slot stays zero.
-        """
-        watchdog = self.watchdog
-        deadline = (time.monotonic() + watchdog.wall_deadline_s
-                    if watchdog.wall_deadline_s is not None else None)
-        max_zero = watchdog.max_zero_advance
-        check_every = watchdog.check_every
-        next_event = self._next_event
-        tracer = self.tracer
-        live = self.live_counts
-        now = self.now_ps
-        zero_advance = 0
-        count = 0
-        prev_until = self._until_ps
-        self._until_ps = until_ps
-        try:
-            while until_ps is None or until_ps >= now:
-                event = next_event(until_ps)
-                if event is None:
-                    break
-                time_ps = event.time_ps
-                if time_ps > now:
-                    zero_advance = -1  # this event advances the clock
-                    now = time_ps
-                    self.now_ps = time_ps
-                if tracer is not None:
-                    tracer.emit("event", "event_fired",
-                                cb=_callback_name(event.callback))
-                event.callback()
-                count += 1
-                zero_advance += 1
-                if live is not None:
-                    live[0] = count
-                if count > max_events:
-                    raise SimulationError(
-                        f"event budget exhausted after {max_events} events at "
-                        f"{self.now_ps} ps"
-                    )
-                if max_zero is not None and zero_advance >= max_zero:
-                    raise SimAborted(
-                        f"livelock: {zero_advance} consecutive events "
-                        f"without sim-time progress at {self.now_ps} ps",
-                        self.diagnostics_snapshot(
-                            "livelock", count, zero_advance))
-                if deadline is not None and count % check_every == 0 \
-                        and time.monotonic() > deadline:
-                    raise SimAborted(
-                        f"wall-clock deadline: run() exceeded "
-                        f"{watchdog.wall_deadline_s} s after {count} events "
-                        f"at {self.now_ps} ps",
-                        self.diagnostics_snapshot(
-                            "wall_deadline", count, zero_advance))
-        finally:
-            self._until_ps = prev_until
-            self.events_processed += count
-            if live is not None:
-                live[0] = 0
-        if until_ps is not None and until_ps > self.now_ps:
-            self.now_ps = until_ps
+        return count, count - moved - 1
 
     def diagnostics_snapshot(self, reason: str, events_run: int = 0,
                              zero_advance: int = 0, top: int = 8) -> dict:
@@ -548,7 +558,7 @@ class EventLoop:
             "reason": reason,
             "now_ps": self.now_ps,
             "events_run": events_run,
-            "events_processed_total": self.events_processed + events_run,
+            "events_processed_total": self.events_processed,
             "zero_advance": zero_advance,
             "pending_events": self.pending_events,
             "lane_live": self._lane_live,

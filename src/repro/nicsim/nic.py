@@ -77,8 +77,7 @@ class SimFrame:
         #: Descriptor-fetch hook: called (and cleared) when the NIC DMAs
         #: this frame out of a tx ring — the mempool recycle of Section
         #: 4.2.  A dedicated slot because it exists on every transmitted
-        #: frame; ``meta["recycle"]`` is still honoured as a fallback for
-        #: hand-built frames.
+        #: frame.
         self.recycle = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -799,10 +798,6 @@ class NicPort:
             # recycle the buffer into its mempool (Section 4.2).
             frame.recycle = None
             recycle()
-        else:
-            recycle = frame.meta.pop("recycle", None)
-            if recycle is not None:
-                recycle()
         signal = queue.space_signal
         if signal._waiters:
             ring_len = len(queue.ring)

@@ -137,6 +137,13 @@ class TestCommands:
         assert "82599/fiber" in out and "X540/copper" in out
         assert "320.0 ns" in out  # the 2 m fiber physical latency
 
+    def test_metrics_dut_forward(self):
+        """The DuT topology the ``metrics`` and ``profile`` choices name."""
+        code, out = run_cli(["metrics", "dut-forward", "--duration-ms", "0.5"])
+        assert code == 0
+        assert "scenario 'dut-forward'" in out
+        assert re.search(r'"dut\.forwarded":[1-9]', out)
+
 
 class TestJournalFlags:
     """The --journal/--resume/--quarantine supervision surface

@@ -176,6 +176,64 @@ class TestLaneAccounting:
         assert loop.lane_events_processed == 2
 
 
+class TestDaemons:
+    def ticker(self, loop, every_ps, ticks):
+        def tick():
+            ticks.append(loop.now_ps)
+            loop.schedule_daemon(loop.now_ps + every_ps, tick)
+        return tick
+
+    def test_daemon_alone_never_runs(self):
+        loop = EventLoop()
+        ticks = []
+        loop.schedule_daemon(100, self.ticker(loop, 100, ticks))
+        loop.run()
+        assert ticks == [] and loop.now_ps == 0
+        assert loop.pending_events == 0  # cancelled, not left behind
+
+    def test_daemon_fires_while_real_events_are_left(self):
+        loop = EventLoop()
+        ticks, fired = [], []
+        loop.schedule(200, lambda: fired.append(loop.now_ps))
+        loop.schedule_daemon(100, self.ticker(loop, 100, ticks))
+        loop.run()
+        # The wake at 200 fires after the real event it ties with; the
+        # one at 300 would outlive the traffic.
+        assert fired == [200] and ticks == [100, 200]
+        assert loop.now_ps == 200
+
+    def test_horizon_reaching_a_daemon_fires_it(self):
+        loop = EventLoop()
+        ticks = []
+        loop.schedule_daemon(100, self.ticker(loop, 100, ticks))
+        loop.run(until_ps=250)
+        assert ticks == [100, 200] and loop.now_ps == 250
+        assert loop.pending_events == 1  # the wake at 300 waits
+
+    def test_daemon_reads_every_earlier_event(self):
+        """Events fired before a daemon are counted when it fires."""
+        loop = EventLoop()
+        seen = []
+        for _ in range(3):
+            loop.schedule(100, lambda: None)
+        loop.schedule_daemon(
+            100, lambda: seen.append(loop.events_processed))
+        loop.schedule(500, lambda: None)
+        loop.run()
+        assert seen == [3] and loop.events_processed == 5
+
+    def test_step_stops_at_a_lone_daemon(self):
+        loop = EventLoop()
+        ticks = []
+        loop.schedule(150, lambda: None)
+        loop.schedule_daemon(100, self.ticker(loop, 100, ticks))
+        steps = 0
+        while loop.step():
+            steps += 1
+        assert steps == 2 and ticks == [100]
+        assert loop.now_ps == 150 and loop.pending_events == 0
+
+
 class TestSignal:
     def test_trigger_wakes_all(self):
         sig = Signal()

@@ -9,7 +9,10 @@ These pin the scheduler invariants every simulation result rests on:
   deterministic: two identical runs produce byte-identical traces,
 * killing a parked process drops its waiter registration (no leaks),
 * ``run()``, a watched ``run()`` and ``step()`` fire the same events
-  with the same clocks, live counts and event counters.
+  with the same clocks, live counts and event counters, with or without
+  a daemon beside the program,
+* a daemon never moves or reorders the program's own events, and a
+  drained program ends on the clock it ends on without one.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -200,19 +203,28 @@ parity_ops = st.lists(
     min_size=1, max_size=60)
 
 
-def _drive(ops, watchdog=None, drain_by_step=False):
+def _drive(ops, watchdog=None, drain_by_step=False, daemon_every=None):
     """Replay one op sequence; returns every observable the loop exposes.
 
     A scheduled callback with delay ``d`` schedules ``d % 3`` same-instant
     follow-ups when it fires, so programs exercise the fast lane.  The
     program ends with ``run()``, or with ``while loop.step()`` when
-    ``drain_by_step`` is set.
+    ``drain_by_step`` is set.  With ``daemon_every``, a daemon that
+    starts at the current instant, as the snapshotter does, reschedules
+    itself every ``daemon_every`` ps and logs ``("daemon", now)``.
     """
     loop = EventLoop()
     loop.watchdog = watchdog
     fired = []
     handles = []
     observed = []
+
+    if daemon_every is not None:
+        def tick():
+            fired.append(("daemon", loop.now_ps))
+            loop.schedule_daemon(loop.now_ps + daemon_every, tick)
+
+        loop.schedule_daemon(loop.now_ps, tick)
 
     def make_callback(tag, follow_ups):
         def callback():
@@ -244,29 +256,53 @@ def _drive(ops, watchdog=None, drain_by_step=False):
     return fired, observed, snapshot()
 
 
+#: No daemon, or one rescheduling itself every 1 ps to 5 us.
+daemon_periods = st.one_of(st.none(), st.integers(min_value=1, max_value=5_000))
+
+
 class TestDriverParity:
     @settings(**SETTINGS)
-    @given(parity_ops)
-    def test_watched_run_matches_plain_run(self, ops):
+    @given(parity_ops, daemon_periods)
+    def test_watched_run_matches_plain_run(self, ops, every):
         """An armed watchdog that never trips changes nothing: same fire
         order, clocks, live counts, next-event times and event counters."""
-        guard = Watchdog(wall_deadline_s=3600.0, max_zero_advance=10**9)
-        assert _drive(ops, watchdog=guard) == _drive(ops)
+        guard = Watchdog(wall_deadline_s=3600.0, max_zero_advance=10**9,
+                         check_every=7)
+        assert (_drive(ops, watchdog=guard, daemon_every=every)
+                == _drive(ops, daemon_every=every))
 
     @settings(**SETTINGS)
-    @given(parity_ops)
-    def test_step_drain_matches_run(self, ops):
+    @given(parity_ops, daemon_periods)
+    def test_step_drain_matches_run(self, ops, every):
         """Draining with ``while loop.step()`` instead of ``run()`` fires
-        the same events and counts the same lane events."""
-        assert _drive(ops, drain_by_step=True) == _drive(ops)
+        the same events, counts the same lane events and stops on the
+        same daemon."""
+        assert (_drive(ops, drain_by_step=True, daemon_every=every)
+                == _drive(ops, daemon_every=every))
 
     @settings(**SETTINGS)
-    @given(parity_ops)
-    def test_drains_exactly(self, ops):
+    @given(parity_ops, daemon_periods)
+    def test_drains_exactly(self, ops, every):
         """After a full drain the exact live count is zero and no live
-        event is left to report."""
-        fired, observed, final = _drive(ops)
+        event is left to report: a daemon left alone is cancelled."""
+        fired, observed, final = _drive(ops, daemon_every=every)
         now_ps, pending, next_time, events, lane_events = final
         assert pending == 0 and next_time is None
         assert events == len(fired)
         assert lane_events <= events
+
+    @settings(**SETTINGS)
+    @given(parity_ops, st.integers(min_value=1, max_value=5_000))
+    def test_daemon_leaves_the_program_alone(self, ops, every):
+        """A daemon rescheduling itself every ``every`` ps changes neither
+        the order nor the clocks of the program's own events, and the
+        drained program ends on the daemon-free clock.  ``step`` ops are
+        left out: ``step()`` fires a daemon's event like any other, which
+        would move the clock later ops schedule from."""
+        ops = [op for op in ops if op[0] != "step"]
+        bare, _, (bare_now, *_) = _drive(ops)
+        fired, _, (now_ps, pending, next_time, *_) = _drive(
+            ops, daemon_every=every)
+        assert [entry for entry in fired if entry[0] != "daemon"] == bare
+        assert now_ps == bare_now
+        assert pending == 0 and next_time is None

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import MoonGenEnv
+from repro._optional import np
 from repro.errors import ConfigurationError
 from repro.metrics import (
     Counter,
@@ -37,6 +38,7 @@ from repro.metrics import (
     write_jsonl,
 )
 from repro.metrics.snapshot import Snapshotter
+from repro.scenarios import SCENARIOS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -391,9 +393,9 @@ class TestSnapshotter:
         assert times[-1] == env.now_ns
 
     def test_sample_exactly_at_sim_end_not_duplicated(self):
-        # The interval divides the duration exactly, so the task's last
-        # interval sample lands on the stop horizon; finalize at the same
-        # instant must not add a twin row.
+        # The interval divides the duration exactly, so the last wake
+        # lands on the stop horizon; finalize at the same instant must
+        # not add a twin row.
         env, tx, rx, snap = run_quickstart_with_metrics(
             duration_ns=2_000_000, interval_ns=500_000.0)
         times = [row["t_ns"] for row in snap.series]
@@ -430,6 +432,22 @@ class TestSnapshotter:
         assert a.series.fingerprint() == b.series.fingerprint()
         _, _, _, c = run_quickstart_with_metrics(seed=10)
         assert a.series.fingerprint() != c.series.fingerprint()
+
+    @pytest.mark.skipif(np is None,
+                        reason="the Poisson pattern draws gaps with numpy")
+    def test_observed_run_ends_with_its_traffic(self):
+        """The snapshotter never keeps a run alive: the poisson
+        golden-trace topology with a 10 us horizon ends where its traffic
+        does, with metrics, dataplane and a snapshotter on as without."""
+        def end_ps(observed):
+            env = SCENARIOS["poisson"](11, metrics=observed,
+                                       dataplane=observed).env
+            if observed:
+                env.start_snapshotter(10_000 / 6)
+            env.wait_for_slaves(duration_ns=10_000)
+            return env.loop.now_ps
+
+        assert end_ps(True) == end_ps(False) == 5_505_542
 
     def test_disabled_env_has_no_registry(self):
         env = MoonGenEnv(seed=0)

@@ -162,7 +162,7 @@ class TestTxPath:
         loop, port, wire = self.make_port()
         recycled = []
         frame = udp_frame()
-        frame.meta["recycle"] = lambda: recycled.append(True)
+        frame.recycle = lambda: recycled.append(True)
         port.get_tx_queue(0).enqueue([frame])
         loop.run()
         assert recycled == [True]

@@ -124,11 +124,13 @@ class TestFramePoolEquivalence:
             assert frame.wire_size == fresh.wire_size
             assert frame.fcs_ok == fresh.fcs_ok
             assert frame.meta == {} == fresh.meta
+            assert frame.recycle is None is fresh.recycle
             # Meta dicts must be fresh objects — a stale dict would leak
-            # state (timestamps, recycle hooks) between unrelated frames.
+            # state (timestamps) between unrelated frames, as a stale
+            # hook would recycle the wrong buffer.
             assert all(frame.meta is not m for m in seen_metas)
             seen_metas.append(frame.meta)
-            frame.meta["recycle"] = lambda: None
+            frame.recycle = lambda: None
             frame.meta["timestamp"] = True
             if data.draw(st.booleans()):
                 pool.release(frame)

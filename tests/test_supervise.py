@@ -531,11 +531,36 @@ class TestWatchdog:
         with pytest.raises(SimAborted, match="livelock") as exc:
             env.wait_for_slaves(duration_ns=1e6)
         diagnostics = exc.value.diagnostics
-        assert diagnostics["zero_advance"] >= 300
+        # The abort lands on the 300th same-instant event, and the
+        # diagnostics (metrics included) count every event of the run.
+        assert diagnostics["events_run"] == 300
+        assert diagnostics["zero_advance"] == 300
+        assert diagnostics["events_processed_total"] == 300
+        assert diagnostics["metrics"]["loop.events"] == 300
         assert diagnostics["now_ps"] == 0
         assert diagnostics["pending_events"] + diagnostics["lane_live"] >= 1
         assert diagnostics["top_owners"]  # the spinner shows up by name
         assert isinstance(diagnostics["metrics"], dict)
+
+    def test_livelock_across_deadline_checks(self):
+        """A wall-clock check every 64 events splits the spin into
+        segments; the zero-advance count carries across them, so the
+        abort lands on the 300th event after the clock last moved."""
+        env = MoonGenEnv(seed=1, watchdog=Watchdog(
+            wall_deadline_s=3600.0, max_zero_advance=300, check_every=64))
+
+        def spinner(env):
+            yield env.sleep_ns(5)
+            while True:
+                yield None
+
+        env.launch(spinner, env)
+        with pytest.raises(SimAborted, match="livelock") as exc:
+            env.wait_for_slaves(duration_ns=1e6, max_events=10_000)
+        diagnostics = exc.value.diagnostics
+        assert diagnostics["now_ps"] == 5_000
+        assert diagnostics["zero_advance"] == 300
+        assert diagnostics["events_run"] == 302  # the start and the wake too
 
     def test_wall_deadline_aborts(self):
         env = MoonGenEnv(seed=1, watchdog=Watchdog(wall_deadline_s=0.05,

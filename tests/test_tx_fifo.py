@@ -84,7 +84,7 @@ class TestPrefetch:
         recycled = []
         frames = [frame() for _ in range(10)]
         for f in frames:
-            f.meta["recycle"] = lambda f=f: recycled.append(f.seq)
+            f.recycle = lambda f=f: recycled.append(f.seq)
         port.get_tx_queue(0).enqueue(frames)
         # All recycles fired synchronously at enqueue-kick time.
         assert len(recycled) == 10
