@@ -89,8 +89,7 @@ class LoadLatencyExperiment:
 
     def _default_craft(self, buf, index: int) -> None:
         buf.eth_packet.fill(
-            eth_src=str(self.tx_device.mac),
-            eth_dst=str(self.rx_device.mac),
+            eth_src=self.tx_device.mac, eth_dst=self.rx_device.mac,
             eth_type=0x0800,
         )
 

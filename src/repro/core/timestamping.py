@@ -237,8 +237,9 @@ class Timestamper:
         deadline_ps = self.env.loop.now_ps + round(timeout_ns * 1000)
         port = self.rx_device.port
         while True:
-            # Drain any frames (the probe itself plus unrelated traffic).
-            rx_queue.try_fetch(64)
+            # Drain any frames (the probe itself plus unrelated traffic);
+            # nothing reads them, so take them off the ring unwrapped.
+            rx_queue.sim.fetch(64)
             stamp = port.read_rx_timestamp()
             if stamp is not None:
                 rx_ns, rx_seq = stamp

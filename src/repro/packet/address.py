@@ -13,7 +13,12 @@ from typing import Union
 
 from repro.errors import AddressError
 
-_MAC_RE = re.compile(r"^([0-9a-fA-F]{2})(:[0-9a-fA-F]{2}){5}$")
+# Parsers take ASCII text only and match it whole: ``$`` would accept a
+# trailing newline, and ``int()`` alone accepts signs, underscores,
+# surrounding whitespace and non-ASCII digits.
+_MAC_RE = re.compile(r"[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2}){5}")
+_IP4_RE = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
+_IP6_GROUP_RE = re.compile(r"[0-9a-fA-F]{1,4}")
 
 
 class MacAddress(int):
@@ -27,7 +32,7 @@ class MacAddress(int):
 
     def __new__(cls, value: Union[int, str, bytes, "MacAddress"] = 0) -> "MacAddress":
         if isinstance(value, str):
-            if not _MAC_RE.match(value):
+            if not _MAC_RE.fullmatch(value):
                 raise AddressError(f"invalid MAC address: {value!r}")
             value = int(value.replace(":", ""), 16)
         elif isinstance(value, (bytes, bytearray, memoryview)):
@@ -76,14 +81,11 @@ class Ip4Address(int):
 
     def __new__(cls, value: Union[int, str, bytes, "Ip4Address"] = 0) -> "Ip4Address":
         if isinstance(value, str):
-            parts = value.split(".")
-            if len(parts) != 4:
+            match = _IP4_RE.fullmatch(value)
+            if match is None:
                 raise AddressError(f"invalid IPv4 address: {value!r}")
-            try:
-                octets = [int(p, 10) for p in parts]
-            except ValueError as exc:
-                raise AddressError(f"invalid IPv4 address: {value!r}") from exc
-            if any(not 0 <= o <= 255 for o in octets):
+            octets = [int(p) for p in match.groups()]
+            if any(o > 255 for o in octets):
                 raise AddressError(f"invalid IPv4 address: {value!r}")
             value = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
         elif isinstance(value, (bytes, bytearray, memoryview)):
@@ -157,12 +159,9 @@ class Ip6Address(int):
             raise AddressError(f"invalid IPv6 address: {text!r}")
         value = 0
         for group in groups:
-            if not group or len(group) > 4:
+            if not _IP6_GROUP_RE.fullmatch(group):
                 raise AddressError(f"invalid IPv6 address: {text!r}")
-            try:
-                value = (value << 16) | int(group, 16)
-            except ValueError as exc:
-                raise AddressError(f"invalid IPv6 address: {text!r}") from exc
+            value = (value << 16) | int(group, 16)
         return value
 
     def __str__(self) -> str:

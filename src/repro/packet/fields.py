@@ -8,7 +8,7 @@ original MoonGen operates on DPDK packet buffers through LuaJIT FFI structs
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Type
+from typing import Any, Optional, Type
 
 from repro.packet.address import Ip4Address, Ip6Address, MacAddress
 
@@ -130,17 +130,3 @@ class Header:
             if isinstance(attr, (UIntField, BitsField, AddressField)):
                 fields.append(f"{name}={getattr(self, name)}")
         return f"{type(self).__name__}({', '.join(sorted(fields))})"
-
-
-def apply_fill(obj: Any, values: dict, setters: dict) -> None:
-    """Apply MoonGen-style ``fill`` keyword arguments.
-
-    ``setters`` maps keyword name -> callable(value).  Unknown keywords raise
-    ``TypeError`` so typos in scripts fail loudly instead of generating wrong
-    packets silently.
-    """
-    for key, value in values.items():
-        setter: Optional[Callable[[Any], None]] = setters.get(key)
-        if setter is None:
-            raise TypeError(f"unknown fill field: {key!r}")
-        setter(value)

@@ -16,7 +16,7 @@ minimum-sized frame therefore corresponds to a 60 B buffer.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import PacketError
 from repro.packet.address import Ip4Address
@@ -31,6 +31,7 @@ from repro.packet.ethernet import EtherType, EthernetHeader
 from repro.packet.icmp import IcmpHeader, IcmpType
 from repro.packet.ip4 import Ip4Header, IpProtocol
 from repro.packet.ip6 import Ip6Header
+from repro.packet.memo import SecondSightMemo
 from repro.packet.ptp import PTP_UDP_PORT, PtpHeader
 from repro.packet.tcp import TcpHeader
 from repro.packet.udp import UdpHeader
@@ -169,54 +170,79 @@ class PacketData:
         return "eth"
 
 
-#: Cache of override-free fill write-sets, keyed by ``(stack class, frame
-#: length)``.  Value is ``(runs, max_end)`` where ``runs`` is a list of
-#: ``(offset, bytes)`` slices, or ``None`` when the class's defaults are
-#: not replayable (read-modify-write fields).
-_FILL_RUNS: Dict[tuple, Optional[tuple]] = {}
-_RUNS_UNSET = object()
+#: Keyword values a fill may be cached on: immutable scalars, subclasses
+#: included (``MacAddress``, ``Ip4Address``, ``IntEnum``).  A fill with any
+#: other value (a ``bytearray``, a float) keeps the setter path.
+_KEYABLE = (str, int, bytes)
+
+#: Fill write-sets, keyed by ``(stack class, frame length, *keyword
+#: items)``.  The frame length is ``None`` for stacks whose fill writes no
+#: length field.  A stack class alone keys its ``_set_defaults``.  A value
+#: is a :func:`_write_set`, or ``None`` for a write that is not replayable.
+_WRITE_SETS = SecondSightMemo()
+_MISS = object()
 
 
-def _default_fill_runs(cls, size: int) -> Optional[tuple]:
-    """The exact byte runs ``cls(...).fill(pkt_length=size)`` writes.
+def _write_set(cls, size: int, write) -> Optional[tuple]:
+    """The exact bytes ``write(cls(pkt))`` writes at frame length ``size``.
 
-    Runs the default fill twice on scratch buffers with opposite sentinel
-    backgrounds (0x00 and 0xFF) and diffs the results: a byte equal in
-    both runs was written (to that constant), a byte still matching both
-    sentinels was untouched, and anything else means the defaults read
-    existing buffer state — not replayable, return ``None``.  Replaying
-    the runs on a live buffer therefore writes exactly the bytes a real
-    fill writes and leaves untouched bytes untouched.
+    Runs ``write`` twice on scratch buffers with opposite sentinel
+    backgrounds (0x00 and 0xFF) and diffs the results bit by bit: a bit
+    equal in both runs was written (to that constant), a bit still
+    matching both sentinels was untouched, and anything else means
+    ``write`` reads existing buffer state — not replayable, return
+    ``None``, as for a ``write`` that raises.  Replaying the write-set on
+    a live buffer (:func:`_replay`) therefore writes exactly the bits a
+    real call writes and leaves the others alone; a bit field that shares
+    its byte with bits the call leaves alone (the IPv6 version, the PTP
+    message type) becomes a masked byte.  Returns ``(runs, masked,
+    max_end)``: ``(offset, bytes)`` slices, ``(offset, kept bits, written
+    bits)`` bytes, and the end of the last byte written.
     """
     cap = max(size, cls.MIN_SIZE, 64)
     images = []
     for sentinel in (0x00, 0xFF):
         data = bytearray(bytes((sentinel,)) * cap)
         try:
-            view = cls(PacketData.wrap(data, size))
-            view._set_defaults()
-            view._finalize_lengths()
+            write(cls(PacketData.wrap(data, size)))
         except Exception:
             return None
         images.append(data)
     b0, b1 = images
     runs = []
+    masked = []
     run_start = -1
     for i in range(cap):
         x0 = b0[i]
-        if x0 == b1[i]:
+        kept = x0 ^ b1[i]
+        if not kept:
             if run_start < 0:
                 run_start = i
             continue
-        if x0 != 0x00 or b1[i] != 0xFF:
-            return None
         if run_start >= 0:
             runs.append((run_start, bytes(b0[run_start:i])))
             run_start = -1
+        if x0 & kept:
+            return None
+        if kept != 0xFF:
+            masked.append((i, kept, x0))
     if run_start >= 0:
         runs.append((run_start, bytes(b0[run_start:cap])))
-    max_end = max((off + len(chunk) for off, chunk in runs), default=0)
-    return runs, max_end
+    max_end = max([off + len(chunk) for off, chunk in runs]
+                  + [off + 1 for off, _, _ in masked], default=0)
+    return tuple(runs), tuple(masked), max_end
+
+
+def _replay(write_set: tuple, data: bytearray) -> bool:
+    """Apply a :func:`_write_set` to ``data``; False if it does not fit."""
+    runs, masked, max_end = write_set
+    if max_end > len(data):
+        return False
+    for off, chunk in runs:
+        data[off:off + len(chunk)] = chunk
+    for off, kept, bits in masked:
+        data[off] = data[off] & kept | bits
+    return True
 
 
 class _StackView:
@@ -226,6 +252,16 @@ class _StackView:
 
     #: Minimum buffer size the stack needs; subclasses override.
     MIN_SIZE = EthernetHeader.SIZE
+    #: ``fill`` keyword -> (header property, header attribute) it sets.
+    _FILL_FIELDS: Dict[str, Tuple[str, str]] = {}
+    #: True for stacks whose fill writes length fields, the ones that
+    #: override :meth:`_finalize_lengths`: their write-sets depend on the
+    #: frame length.  Set per subclass.
+    _SIZED = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._SIZED = cls._finalize_lengths is not _StackView._finalize_lengths
 
     def __init__(self, pkt: PacketData) -> None:
         if len(pkt.data) < self.MIN_SIZE:
@@ -248,46 +284,76 @@ class _StackView:
 
         The keyword names mirror MoonGen's Lua fill API in snake_case:
         ``pkt_length``, ``eth_src``, ``eth_dst``, ``ip_src``, ``ip_dst``,
-        ``udp_src``, ``udp_dst``, and so on.
+        ``udp_src``, ``udp_dst``, and so on.  Unknown names raise
+        ``TypeError`` and bad values ``AddressError`` or ``PacketError``,
+        on every call.
 
-        An override-free fill (the mempool-init shape: thousands of
-        identical calls per pool) replays a cached write-set instead of
-        running the per-field setters — see :func:`_default_fill_runs`.
+        MoonGen writes a packet's constant bytes once, at mempool creation;
+        here the same fill recurs packet after packet (mempool init, the
+        per-packet craft of the latency scripts, CRC-gap fillers).  So a
+        fill whose keyword values are all ``str``, ``int`` or ``bytes``
+        (subclasses included) replays a cached write-set — the bytes it
+        writes, see :func:`_write_set` — instead of running the per-field
+        setters.  The key is the stack class, the keyword items in call
+        order, and the frame length for stacks that write length fields.
+        A key is admitted on its second sighting into a bounded memo
+        (:class:`~repro.packet.memo.SecondSightMemo`), so a stream of
+        one-off fills costs one set insert each.  Other values, and fills
+        that read the buffer, keep the setter path.
         """
+        pkt = self.pkt
         pkt_length = kwargs.pop("pkt_length", None)
         if pkt_length is not None:
             self._set_length(int(pkt_length))
-        if not kwargs:
-            key = (type(self), self.pkt._size)
-            cached = _FILL_RUNS.get(key, _RUNS_UNSET)
-            if cached is _RUNS_UNSET:
-                cached = _default_fill_runs(type(self), self.pkt._size)
-                _FILL_RUNS[key] = cached
-            if cached is not None:
-                runs, max_end = cached
-                data = self.pkt.data
-                if max_end <= len(data):
-                    for off, chunk in runs:
-                        data[off:off + len(chunk)] = chunk
-                    return
+        for value in kwargs.values():
+            if not isinstance(value, _KEYABLE):
+                self._apply_fill(kwargs)
+                return
+        cls = type(self)
+        size = pkt._size
+        key = (cls, size if cls._SIZED else None, *kwargs.items())
+        write_set = _WRITE_SETS.entries.get(key, _MISS)
+        if write_set is _MISS:
+            if not _WRITE_SETS.admit(key):
+                self._apply_fill(kwargs)
+                return
+            write_set = _WRITE_SETS.store(key, _write_set(
+                cls, size, lambda view: view._apply_fill(kwargs)))
+        if write_set is None or not _replay(write_set, pkt.data):
+            self._apply_fill(kwargs)
+
+    def _apply_fill(self, kwargs: Dict[str, object]) -> None:
+        """The setter path: defaults, then each keyword setter, then lengths.
+
+        The defaults are the same bytes on every call, so they are replayed
+        from the same memo as whole fills, keyed on the stack class.  That
+        keeps a fill seen for the first time (the timestamper's probes, one
+        sequence number each) cheaper than the setters alone.
+        """
+        cls = type(self)
+        defaults = _WRITE_SETS.entries.get(cls, _MISS)
+        if defaults is _MISS and _WRITE_SETS.admit(cls):
+            defaults = _WRITE_SETS.store(cls, _write_set(
+                cls, cls.MIN_SIZE, cls._set_defaults))
+        if (defaults is _MISS or defaults is None
+                or not _replay(defaults, self.pkt.data)):
             self._set_defaults()
-            self._finalize_lengths()
-            return
-        self._set_defaults()
-        setters = self._fill_setters()
+        fields = self._FILL_FIELDS
+        headers: Dict[str, object] = {}
         for key, value in kwargs.items():
-            setter = setters.get(key)
-            if setter is None:
+            field = fields.get(key)
+            if field is None:
                 raise TypeError(
-                    f"unknown fill field {key!r} for {type(self).__name__}"
+                    f"unknown fill field {key!r} for {cls.__name__}"
                 )
-            setter(value)
+            name, attr = field
+            header = headers.get(name)
+            if header is None:
+                header = headers[name] = getattr(self, name)
+            setattr(header, attr, value)
         self._finalize_lengths()
 
     def _set_defaults(self) -> None:
-        raise NotImplementedError
-
-    def _fill_setters(self) -> Dict[str, object]:
         raise NotImplementedError
 
     def _finalize_lengths(self) -> None:
@@ -302,13 +368,11 @@ class EthPacket(_StackView):
     def _set_defaults(self) -> None:
         pass
 
-    def _fill_setters(self):
-        eth = self.eth
-        return {
-            "eth_src": lambda v: setattr(eth, "src", v),
-            "eth_dst": lambda v: setattr(eth, "dst", v),
-            "eth_type": lambda v: setattr(eth, "ether_type", v),
-        }
+    _FILL_FIELDS = {
+        "eth_src": ("eth", "src"),
+        "eth_dst": ("eth", "dst"),
+        "eth_type": ("eth", "ether_type"),
+    }
 
     @property
     def payload_offset(self) -> int:
@@ -328,17 +392,15 @@ class ArpPacket(_StackView):
         self.eth.ether_type = EtherType.ARP
         self.arp.set_defaults()
 
-    def _fill_setters(self):
-        eth, arp = self.eth, self.arp
-        return {
-            "eth_src": lambda v: setattr(eth, "src", v),
-            "eth_dst": lambda v: setattr(eth, "dst", v),
-            "arp_operation": lambda v: setattr(arp, "operation", v),
-            "arp_hw_src": lambda v: setattr(arp, "sha", v),
-            "arp_hw_dst": lambda v: setattr(arp, "tha", v),
-            "arp_proto_src": lambda v: setattr(arp, "spa", v),
-            "arp_proto_dst": lambda v: setattr(arp, "tpa", v),
-        }
+    _FILL_FIELDS = {
+        "eth_src": ("eth", "src"),
+        "eth_dst": ("eth", "dst"),
+        "arp_operation": ("arp", "operation"),
+        "arp_hw_src": ("arp", "sha"),
+        "arp_hw_dst": ("arp", "tha"),
+        "arp_proto_src": ("arp", "spa"),
+        "arp_proto_dst": ("arp", "tpa"),
+    }
 
 
 class Ip4Packet(_StackView):
@@ -358,18 +420,16 @@ class Ip4Packet(_StackView):
         if self._IP_PROTOCOL is not None:
             ip.protocol = self._IP_PROTOCOL
 
-    def _fill_setters(self):
-        eth, ip = self.eth, self.ip
-        return {
-            "eth_src": lambda v: setattr(eth, "src", v),
-            "eth_dst": lambda v: setattr(eth, "dst", v),
-            "ip_src": lambda v: setattr(ip, "src", v),
-            "ip_dst": lambda v: setattr(ip, "dst", v),
-            "ip_tos": lambda v: setattr(ip, "tos", v),
-            "ip_ttl": lambda v: setattr(ip, "ttl", v),
-            "ip_id": lambda v: setattr(ip, "identification", v),
-            "ip_protocol": lambda v: setattr(ip, "protocol", v),
-        }
+    _FILL_FIELDS = {
+        "eth_src": ("eth", "src"),
+        "eth_dst": ("eth", "dst"),
+        "ip_src": ("ip", "src"),
+        "ip_dst": ("ip", "dst"),
+        "ip_tos": ("ip", "tos"),
+        "ip_ttl": ("ip", "ttl"),
+        "ip_id": ("ip", "identification"),
+        "ip_protocol": ("ip", "protocol"),
+    }
 
     def _finalize_lengths(self) -> None:
         self.ip.length = self.pkt.size - EthernetHeader.SIZE
@@ -406,14 +466,11 @@ class Udp4Packet(Ip4Packet):
     def payload_offset(self) -> int:
         return self.l4_offset + UdpHeader.SIZE
 
-    def _fill_setters(self):
-        setters = super()._fill_setters()
-        udp = self.udp
-        setters.update(
-            udp_src=lambda v: setattr(udp, "src_port", v),
-            udp_dst=lambda v: setattr(udp, "dst_port", v),
-        )
-        return setters
+    _FILL_FIELDS = {
+        **Ip4Packet._FILL_FIELDS,
+        "udp_src": ("udp", "src_port"),
+        "udp_dst": ("udp", "dst_port"),
+    }
 
     def _finalize_lengths(self) -> None:
         super()._finalize_lengths()
@@ -449,18 +506,15 @@ class Tcp4Packet(Ip4Packet):
         super()._set_defaults()
         self.tcp.set_defaults()
 
-    def _fill_setters(self):
-        setters = super()._fill_setters()
-        tcp = self.tcp
-        setters.update(
-            tcp_src=lambda v: setattr(tcp, "src_port", v),
-            tcp_dst=lambda v: setattr(tcp, "dst_port", v),
-            tcp_seq=lambda v: setattr(tcp, "seq_number", v),
-            tcp_ack=lambda v: setattr(tcp, "ack_number", v),
-            tcp_flags=lambda v: setattr(tcp, "flags", v),
-            tcp_window=lambda v: setattr(tcp, "window", v),
-        )
-        return setters
+    _FILL_FIELDS = {
+        **Ip4Packet._FILL_FIELDS,
+        "tcp_src": ("tcp", "src_port"),
+        "tcp_dst": ("tcp", "dst_port"),
+        "tcp_seq": ("tcp", "seq_number"),
+        "tcp_ack": ("tcp", "ack_number"),
+        "tcp_flags": ("tcp", "flags"),
+        "tcp_window": ("tcp", "window"),
+    }
 
     def calculate_tcp_checksum(self) -> int:
         """Software TCP checksum over pseudo header + segment."""
@@ -482,16 +536,13 @@ class Icmp4Packet(Ip4Packet):
         super()._set_defaults()
         self.icmp.type = IcmpType.ECHO_REQUEST
 
-    def _fill_setters(self):
-        setters = super()._fill_setters()
-        icmp = self.icmp
-        setters.update(
-            icmp_type=lambda v: setattr(icmp, "type", v),
-            icmp_code=lambda v: setattr(icmp, "code", v),
-            icmp_id=lambda v: setattr(icmp, "identifier", v),
-            icmp_seq=lambda v: setattr(icmp, "sequence", v),
-        )
-        return setters
+    _FILL_FIELDS = {
+        **Ip4Packet._FILL_FIELDS,
+        "icmp_type": ("icmp", "type"),
+        "icmp_code": ("icmp", "code"),
+        "icmp_id": ("icmp", "identifier"),
+        "icmp_seq": ("icmp", "sequence"),
+    }
 
     def calculate_icmp_checksum(self) -> int:
         """Software ICMP checksum over the full message."""
@@ -513,14 +564,11 @@ class EspPacket(Ip4Packet):
         super()._set_defaults()
         self.esp.set_defaults()
 
-    def _fill_setters(self):
-        setters = super()._fill_setters()
-        esp = self.esp
-        setters.update(
-            esp_spi=lambda v: setattr(esp, "spi", v),
-            esp_seq=lambda v: setattr(esp, "sequence", v),
-        )
-        return setters
+    _FILL_FIELDS = {
+        **Ip4Packet._FILL_FIELDS,
+        "esp_spi": ("esp", "spi"),
+        "esp_seq": ("esp", "sequence"),
+    }
 
 
 class Ip6Packet(_StackView):
@@ -540,17 +588,15 @@ class Ip6Packet(_StackView):
         if self._NEXT_HEADER is not None:
             ip.next_header = self._NEXT_HEADER
 
-    def _fill_setters(self):
-        eth, ip = self.eth, self.ip
-        return {
-            "eth_src": lambda v: setattr(eth, "src", v),
-            "eth_dst": lambda v: setattr(eth, "dst", v),
-            "ip_src": lambda v: setattr(ip, "src", v),
-            "ip_dst": lambda v: setattr(ip, "dst", v),
-            "ip_hop_limit": lambda v: setattr(ip, "hop_limit", v),
-            "ip_traffic_class": lambda v: setattr(ip, "traffic_class", v),
-            "ip_flow_label": lambda v: setattr(ip, "flow_label", v),
-        }
+    _FILL_FIELDS = {
+        "eth_src": ("eth", "src"),
+        "eth_dst": ("eth", "dst"),
+        "ip_src": ("ip", "src"),
+        "ip_dst": ("ip", "dst"),
+        "ip_hop_limit": ("ip", "hop_limit"),
+        "ip_traffic_class": ("ip", "traffic_class"),
+        "ip_flow_label": ("ip", "flow_label"),
+    }
 
     def _finalize_lengths(self) -> None:
         self.ip.payload_length = (
@@ -572,14 +618,11 @@ class Udp6Packet(Ip6Packet):
     def udp(self) -> UdpHeader:
         return UdpHeader(self.pkt.data, self.l4_offset)
 
-    def _fill_setters(self):
-        setters = super()._fill_setters()
-        udp = self.udp
-        setters.update(
-            udp_src=lambda v: setattr(udp, "src_port", v),
-            udp_dst=lambda v: setattr(udp, "dst_port", v),
-        )
-        return setters
+    _FILL_FIELDS = {
+        **Ip6Packet._FILL_FIELDS,
+        "udp_src": ("udp", "src_port"),
+        "udp_dst": ("udp", "dst_port"),
+    }
 
     def _finalize_lengths(self) -> None:
         super()._finalize_lengths()
@@ -614,15 +657,13 @@ class PtpPacket(_StackView):
         self.eth.ether_type = EtherType.PTP
         self.ptp.set_defaults()
 
-    def _fill_setters(self):
-        eth, ptp = self.eth, self.ptp
-        return {
-            "eth_src": lambda v: setattr(eth, "src", v),
-            "eth_dst": lambda v: setattr(eth, "dst", v),
-            "ptp_type": lambda v: setattr(ptp, "message_type", v),
-            "ptp_version": lambda v: setattr(ptp, "version", v),
-            "ptp_sequence": lambda v: setattr(ptp, "sequence_id", v),
-        }
+    _FILL_FIELDS = {
+        "eth_src": ("eth", "src"),
+        "eth_dst": ("eth", "dst"),
+        "ptp_type": ("ptp", "message_type"),
+        "ptp_version": ("ptp", "version"),
+        "ptp_sequence": ("ptp", "sequence_id"),
+    }
 
 
 class UdpPtpPacket(Udp4Packet):
@@ -639,15 +680,12 @@ class UdpPtpPacket(Udp4Packet):
         self.udp.dst_port = PTP_UDP_PORT
         self.ptp.set_defaults()
 
-    def _fill_setters(self):
-        setters = super()._fill_setters()
-        ptp = self.ptp
-        setters.update(
-            ptp_type=lambda v: setattr(ptp, "message_type", v),
-            ptp_version=lambda v: setattr(ptp, "version", v),
-            ptp_sequence=lambda v: setattr(ptp, "sequence_id", v),
-        )
-        return setters
+    _FILL_FIELDS = {
+        **Udp4Packet._FILL_FIELDS,
+        "ptp_type": ("ptp", "message_type"),
+        "ptp_version": ("ptp", "version"),
+        "ptp_sequence": ("ptp", "sequence_id"),
+    }
 
 
 __all__ = [

@@ -123,7 +123,7 @@ def dut_forward(seed: int, rate_pps: float = 1.5e6, frame_size: int = 64,
     def rx_task():
         rx_queue = rx.get_rx_queue(0)
         while env.running():
-            rx_queue.try_fetch(64)
+            rx_queue.sim.fetch(64)  # drain; nothing reads the frames
             yield env.sleep_us(10.0)
 
     env.launch(tx_task)

@@ -43,7 +43,8 @@ class TestMacAddress:
         assert not MacAddress("02:00:00:00:00:01").is_multicast
 
     @pytest.mark.parametrize("bad", ["", "aa:bb", "gg:00:00:00:00:00",
-                                     "aa-bb-cc-dd-ee-ff", "aa:bb:cc:dd:ee:ff:00"])
+                                     "aa-bb-cc-dd-ee-ff", "aa:bb:cc:dd:ee:ff:00",
+                                     "02:00:00:00:00:01\n"])
     def test_rejects_bad_strings(self, bad):
         with pytest.raises(AddressError):
             MacAddress(bad)
@@ -82,7 +83,10 @@ class TestIp4Address:
         assert Ip4Address(addr.to_bytes()) == addr
 
     @pytest.mark.parametrize("bad", ["", "1.2.3", "1.2.3.4.5", "256.0.0.1",
-                                     "a.b.c.d", "1..2.3", "-1.0.0.0"])
+                                     "a.b.c.d", "1..2.3", "-1.0.0.0",
+                                     "10.0.0.1_0", " 10.0.0.1", "10.0.0.+1",
+                                     "10.0.0.\u0663", "10.0.0.1\n",
+                                     "1" * 5000 + ".0.0.0"])
     def test_rejects_bad(self, bad):
         with pytest.raises(AddressError):
             Ip4Address(bad)
@@ -124,7 +128,9 @@ class TestIp6Address:
         assert Ip6Address(addr.to_bytes()) == addr
 
     @pytest.mark.parametrize("bad", ["", ":::", "1:2", "2001:db8::1::2",
-                                     "12345::1", "g::1"])
+                                     "12345::1", "g::1", "2001:db8::+1",
+                                     "2001:db8::1_0", "2001:db8:: 1",
+                                     "::\u0661", "::1\n"])
     def test_rejects_bad(self, bad):
         with pytest.raises(AddressError):
             Ip6Address(bad)
