@@ -391,41 +391,50 @@ class GapFiller:
         n_packets: int,
         craft,
         batch: int = 32,
-        counter=None,
     ):
         """Slave task: transmit ``n_packets`` valid packets with the pattern.
 
-        ``craft(buf, index)`` fills each valid packet.  Filler frames carry
-        an intentionally corrupted FCS, so any receiving NIC drops them
-        before queue assignment.  The wire stays saturated: the transmit
-        queue needs no hardware rate control (Figure 9).
+        ``craft(buf, index)`` fills each valid packet.  Like MoonGen's
+        ``sendWithDelay``, the task sends one bufArray per ``batch`` valid
+        packets, each packet followed in the same send by the filler
+        frames of its gap.  A send holds at most the tx ring's descriptor
+        count, so a long filler run is flushed early; a batch is crafted
+        only while ``env.running()``, and a crafted batch is sent whole.
+        Filler frames carry an intentionally corrupted FCS, so any
+        receiving NIC drops them before queue assignment.  The wire stays
+        saturated: the transmit queue needs no hardware rate control
+        (Figure 9).
         """
-        pool = MemPool(
-            n_buffers=max(4096, 4 * batch * 8),
-            buf_capacity=2048,
-        )
+        # At most a ring of descriptors and one send are in flight.
+        pool = MemPool(buf_capacity=2048)
         gaps = pattern.gaps_ns(n_packets)
         plan = self.plan(gaps)
         fillers_of, idle_bytes = plan.fillers_of, plan.idle_bytes
+        ring_size = queue.sim.ring_size
+        valid_size = self.frame_size - units.FCS_SIZE
+        # Filler wire lengths to buffer sizes, which exclude the FCS.
+        overhead = units.WIRE_OVERHEAD + units.FCS_SIZE
         sent = 0
-        bufs = pool.buf_array(1)  # re-planned per frame for exact sizes
         while sent < n_packets and env.running():
-            # One valid packet...
-            bufs.alloc(self.frame_size - units.FCS_SIZE)
-            craft(bufs[0], sent)
-            yield queue.send(bufs)
-            if counter is not None:
-                counter.update_with_size(1, self.frame_size)
-            # ...then its fillers.
-            for wire_len in fillers_of[idle_bytes[sent]]:
-                filler_size = wire_len - units.WIRE_OVERHEAD  # incl. FCS
-                bufs.alloc(filler_size - units.FCS_SIZE)
-                bufs[0].corrupt_fcs = True
-                bufs[0].eth_packet.fill(
-                    eth_src="02:00:00:00:00:ff", eth_dst="ff:ff:ff:ff:ff:ff"
-                )
+            # The batch's frames in wire order: None for a valid packet,
+            # the wire length for a filler.
+            frames = []
+            for index in range(sent, min(sent + batch, n_packets)):
+                frames.append(None)
+                frames += fillers_of[idle_bytes[index]]
+            for start in range(0, len(frames), ring_size):
+                chunk = frames[start:start + ring_size]
+                bufs = pool.buf_array(len(chunk)).alloc(valid_size)
+                for buf, wire_len in zip(bufs, chunk):
+                    if wire_len is None:
+                        craft(buf, sent)
+                        sent += 1
+                    else:
+                        buf.pkt.size = wire_len - overhead
+                        buf.corrupt_fcs = True
+                        buf.eth_packet.fill(eth_src="02:00:00:00:00:ff",
+                                            eth_dst="ff:ff:ff:ff:ff:ff")
                 yield queue.send(bufs)
-            sent += 1
 
 
 def effective_pps(plan: FillPlan) -> float:

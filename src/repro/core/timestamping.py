@@ -168,7 +168,7 @@ class Timestamper:
         if self.udp:
             p = buf.pkt.udp_ptp_packet
             p.fill(
-                pkt_length=self.pkt_size,
+                pkt_length=self.pkt_size - 4,
                 eth_src=self.tx_device.mac,
                 eth_dst=self.rx_device.mac,
                 ip_src="10.1.0.1",
@@ -179,7 +179,7 @@ class Timestamper:
         else:
             p = buf.pkt.ptp_packet
             p.fill(
-                pkt_length=self.pkt_size,
+                pkt_length=self.pkt_size - 4,
                 eth_src=self.tx_device.mac,
                 eth_dst=self.rx_device.mac,
                 ptp_sequence=self._seq,

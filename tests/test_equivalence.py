@@ -415,10 +415,11 @@ class TestRegistryScenarios:
 
 class TestCrcGapPatterns:
     """CRC-gap software pacing into a batchable port.  The producer
-    sleeps between gaps, so during the traffic every detected train is
-    bounded by its next wakeup and nothing fits (``horizon`` fallbacks);
-    the drain after the horizon still runs as real trains.  Fillers are
-    FCS-gated out of the histograms."""
+    sends one bufArray per batch of valid packets, fillers included, so
+    trains run during the traffic as well as in the drain after the
+    horizon.  Each is bounded by the next live event, such as the
+    producer's next wakeup; a train with no frame before its bound falls
+    back as ``horizon``.  Fillers are FCS-gated out of the histograms."""
 
     @needs_numpy
     def test_poisson_pattern(self):

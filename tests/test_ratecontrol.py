@@ -19,7 +19,7 @@ from repro.core.ratecontrol import (
     crc_rate_control_frame_rate,
     effective_pps,
 )
-from repro.errors import ConfigurationError, GapError
+from repro.errors import ConfigurationError, GapError, QueueError
 
 
 class TestPatterns:
@@ -260,3 +260,82 @@ class TestLoadTaskIntegration:
         gaps = np.diff(arrivals) / 1000.0
         assert gaps.mean() == pytest.approx(500.0, rel=0.01)
         assert np.abs(gaps - 500.0).max() <= 1.0  # near-perfect CBR
+
+
+def run_load_task(pattern, n_packets, ring_size=None):
+    """Run ``load_task`` to completion on a connected pair.
+
+    Returns the port's transmitted frames as ``(size, fcs_ok, start_ps,
+    mac_time_ps)``, the size of every bufArray the task sent, the indices
+    ``craft`` saw, and the tx ring's size.
+    """
+    env = MoonGenEnv(seed=1)
+    tx = env.config_device(0, tx_queues=1)
+    rx = env.config_device(1, rx_queues=1)
+    env.connect(tx, rx)
+    port = tx.port
+    wire = []
+
+    def observe(frame, now_ps):
+        wire.append((frame.size, frame.fcs_ok, now_ps,
+                     port.card.effective_frame_time_ps(frame, port.speed_bps)))
+
+    port.tx_observers.append(observe)
+    queue = tx.get_tx_queue(0)
+    if ring_size is not None:
+        queue.sim.ring_size = ring_size
+    sends = []
+    send = queue.send
+
+    def counting_send(bufs):
+        sends.append(len(bufs))
+        return send(bufs)
+
+    queue.send = counting_send
+    crafted = []
+
+    def craft(buf, index):
+        crafted.append(index)
+        buf.eth_packet.fill(eth_type=0x0800)
+
+    env.launch(GapFiller().load_task, env, queue, pattern, n_packets, craft)
+    env.wait_for_slaves()
+    return wire, sends, crafted, queue.sim.ring_size
+
+
+class TestBatchedSend:
+    """``load_task`` sends one bufArray per batch of valid packets, their
+    fillers in the same send, at most a ring's worth of frames per send;
+    the wire schedule is the plan's, frame for frame."""
+
+    @pytest.mark.parametrize("make_pattern, n_packets, n_sends", [
+        (lambda: PoissonPattern(1e6, seed=3), 500, 16),
+        (lambda: UniformBurstPattern(2e6, 16), 500, 16),
+        # ~163 fillers per gap: every batch outgrows the 512-slot ring.
+        (lambda: CbrPattern(5e3), 40, 14),
+    ], ids=["poisson", "bursts", "cbr-5kpps"])
+    def test_wire_follows_the_plan(self, make_pattern, n_packets, n_sends):
+        wire, sends, crafted, ring_size = run_load_task(make_pattern(),
+                                                        n_packets)
+        plan = GapFiller().plan_pattern(make_pattern(), n_packets)
+        expected = []
+        for i in range(n_packets):
+            expected.append((64, True))
+            expected += [(wire_len - units.WIRE_OVERHEAD, False)
+                         for wire_len in plan.fillers_of[plan.idle_bytes[i]]]
+        assert [(size, ok) for size, ok, _, _ in wire] == expected
+        assert crafted == list(range(n_packets))
+        # The wire never idles: each frame starts as the previous one's
+        # MAC time ends.
+        for (_, _, start, mac_time), (_, _, next_start, _) in zip(wire,
+                                                                  wire[1:]):
+            assert next_start == start + mac_time
+        assert len(sends) == n_sends
+        assert sum(sends) == len(expected)
+        assert max(sends) <= ring_size
+
+    def test_send_beyond_the_pool_raises(self):
+        """Without the ring cap, a 5 kpps batch of 64 B packets (about
+        5,250 frames) outgrows the 4096-buffer pool."""
+        with pytest.raises(QueueError, match="mempool exhausted"):
+            run_load_task(CbrPattern(5e3), 40, ring_size=8192)

@@ -117,6 +117,23 @@ class TestTimestamper:
         env.wait_for_slaves(duration_ns=2_000_000)
         assert len(ts.histogram) == 10
 
+    @pytest.mark.parametrize("udp, pkt_size", [(False, 80), (True, 80),
+                                               (False, 64)])
+    def test_probe_length_is_pkt_size(self, udp, pkt_size):
+        """``pkt_size`` includes the FCS: each probe puts exactly that many
+        bytes on the wire, and an 80 B UDP probe is still timestamped."""
+        env = MoonGenEnv()
+        a = env.config_device(0, tx_queues=1)
+        b = env.config_device(1, rx_queues=1)
+        env.connect(a, b)
+        queue = a.get_tx_queue(0)
+        ts = Timestamper(env, queue, b, udp=udp, pkt_size=pkt_size)
+        env.launch(ts.probe_task, 3, 10_000.0)
+        env.wait_for_slaves(duration_ns=1_000_000)
+        assert queue.tx_packets == 3
+        assert queue.tx_bytes == 3 * pkt_size
+        assert len(ts.histogram) == 3
+
     def test_ethernet_probes_loopback(self):
         env = MoonGenEnv(seed=4)
         a = env.config_device(0, tx_queues=1, chip=CHIP_82599)
